@@ -47,7 +47,7 @@ type Config struct {
 	// traffic away exactly as DESIGN.md §5h promises.
 	FailAfter int
 	// HTTPClient overrides the forwarding/probing transport (default
-	// http.DefaultClient).
+	// serve.HTTPClient).
 	HTTPClient *http.Client
 	// Logger overrides the structured logger (default obs.Logger()).
 	Logger *slog.Logger
@@ -68,7 +68,7 @@ func (c Config) withDefaults() Config {
 		c.FailAfter = DefaultFailAfter
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = http.DefaultClient
+		c.HTTPClient = serve.HTTPClient
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Logger()

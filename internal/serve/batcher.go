@@ -21,21 +21,23 @@ type batchCall struct {
 	done chan struct{}
 }
 
-// batcher is the dynamic micro-batcher for one served model. Window
-// semantics (DESIGN.md §5d): the first request to arrive at an idle
-// batcher opens a batching window of maxDelay; the batch dispatches
-// when the window closes or the batch reaches maxBatch, whichever comes
-// first. A lone request therefore waits up to maxDelay — the price of
-// coalescing — while a saturated queue dispatches full batches back to
-// back with no added latency. Backpressure is a bounded queue: submit
-// on a full queue fails immediately with auerr.ErrOverloaded rather
-// than queuing unboundedly.
+// batcher is the dynamic micro-batcher for one served model. It is
+// work-conserving (DESIGN.md §5d): the collector blocks for the first
+// request, takes whatever else is already queued without blocking, up
+// to maxBatch, and dispatches at once. A lone request therefore never
+// waits for company, while requests that queue during a running batch
+// form the next one. Backpressure is a bounded queue: submit on a full
+// queue fails immediately with auerr.ErrOverloaded rather than queuing
+// unboundedly.
 type batcher struct {
 	model    *servedModel
 	queue    chan *batchCall
 	maxBatch int
-	maxDelay time.Duration
 	met      *metricsSet
+
+	// ins and outs are the collector's per-batch scratch; only the
+	// goroutine running execute touches them.
+	ins, outs [][]float64
 
 	// shed counts requests rejected by backpressure for this model —
 	// the /statusz shed figure; shedC is its metric twin (nil-safe).
@@ -47,12 +49,11 @@ type batcher struct {
 	closed  atomic.Bool
 }
 
-func newBatcher(m *servedModel, maxBatch int, maxDelay time.Duration, depth int, met *metricsSet) *batcher {
+func newBatcher(m *servedModel, maxBatch, depth int, met *metricsSet) *batcher {
 	b := &batcher{
 		model:    m,
 		queue:    make(chan *batchCall, depth),
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		met:      met,
 		shedC:    met.shedCounter(m.name),
 		stop:     make(chan struct{}),
@@ -111,35 +112,32 @@ func (b *batcher) close() {
 	}
 }
 
-// loop is the collector goroutine: block for the window-opening
-// request, fill the batch until maxBatch or the window deadline, then
-// execute and fan the results back out.
+// loop is the collector goroutine: block for the first request, drain
+// what is already queued up to maxBatch, execute and fan the results
+// back out.
 func (b *batcher) loop() {
 	defer b.stopped.Done()
+	batch := make([]*batchCall, 0, b.maxBatch)
 	for {
-		var first *batchCall
 		select {
-		case first = <-b.queue:
+		case c := <-b.queue:
+			batch = append(batch[:0], c)
 		case <-b.stop:
 			return
 		}
-		batch := append(make([]*batchCall, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.maxDelay)
-	fill:
+	drain:
 		for len(batch) < b.maxBatch {
 			select {
 			case c := <-b.queue:
 				batch = append(batch, c)
-			case <-timer.C:
-				break fill
-			case <-b.stop:
-				timer.Stop()
-				b.execute(batch)
-				return
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
 		b.execute(batch)
+		// Drop the finished calls so an idle model does not pin their
+		// contexts and buffers until the next request.
+		clear(batch)
 	}
 }
 
@@ -151,38 +149,24 @@ func (b *batcher) loop() {
 // poisoned batch must not take down the collector.
 //
 // Observability: every member's queue wait and the batch's assembly
-// window land in the per-stage histograms, and — when tracing is on —
+// time land in the per-stage histograms, and — when tracing is on —
 // the batch opens a serve.batch span continuing the first live
 // request's trace, with a serve.engine_predict child carrying one span
 // link per coalesced request, so a trace shows exactly which
 // batchmates shared the forward pass.
 func (b *batcher) execute(batch []*batchCall) {
 	eng := b.model.eng.Load()
-	now := time.Now()
-	waits := make([]float64, len(batch))
-	for i, c := range batch {
-		waits[i] = now.Sub(c.enq).Seconds()
-	}
-	b.met.observeBatch(len(batch), waits)
-	if b.met != nil {
-		for _, w := range waits {
-			b.met.stageObserve(stageQueueWait, w)
-		}
-		b.met.stageObserve(stageBatchAssemble, now.Sub(batch[0].enq).Seconds())
-	}
+	b.met.observeBatch(batch)
 
 	live := batch[:0]
 	for _, c := range batch {
-		switch {
-		case c.ctx != nil && c.ctx.Err() != nil:
+		if c.ctx != nil && c.ctx.Err() != nil {
 			c.err = auerr.Canceled(c.ctx)
-			close(c.done)
-		case eng.checkInput(c.in) != nil:
-			c.err = eng.checkInput(c.in)
-			close(c.done)
-		default:
+		} else if c.err = eng.checkInput(c.in); c.err == nil {
 			live = append(live, c)
+			continue
 		}
+		close(c.done)
 	}
 	if len(live) == 0 {
 		return
@@ -199,15 +183,16 @@ func (b *batcher) execute(batch []*batchCall) {
 		}
 	}
 	// One flat allocation per batch holds every member's output; the
-	// replica closures write straight into the per-request slots, so the
-	// cost amortizes over the whole batch instead of one alloc per call.
-	ins := make([][]float64, len(live))
-	outs := make([][]float64, len(live))
+	// replica closures write straight into the per-request slots. It is
+	// the batch's only allocation: submitters keep their c.out slices,
+	// so the block cannot be reused.
+	ins, outs := b.ins[:0], b.outs[:0]
 	flat := make([]float64, len(live)*eng.outSize)
 	for i, c := range live {
-		ins[i] = c.in
-		outs[i] = flat[i*eng.outSize : (i+1)*eng.outSize]
+		ins = append(ins, c.in)
+		outs = append(outs, flat[i*eng.outSize:(i+1)*eng.outSize])
 	}
+	b.ins, b.outs = ins, outs
 	var batchErr error
 	tm := b.met.stageTimer(stageEnginePredict)
 	func() {

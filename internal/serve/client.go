@@ -117,11 +117,22 @@ func (p RetryPolicy) delay(try int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
+// HTTPClient is the shared default transport of every Client and of
+// the fleet router. http.DefaultClient keeps only 2 idle connections
+// per host, so beyond 2 concurrent callers each request would dial a
+// fresh connection; this one keeps up to 64 per host, so concurrent
+// callers reuse theirs.
+var HTTPClient = &http.Client{Transport: func() http.RoundTripper {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	return t
+}()}
+
 // ClientOption configures NewClient.
 type ClientOption func(*Client)
 
 // WithHTTPClient substitutes the transport (timeouts, proxies, test
-// doubles). The default is http.DefaultClient.
+// doubles). The default is HTTPClient.
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
 }
@@ -156,7 +167,7 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	c := &Client{base: baseURL, hc: http.DefaultClient, store: db.New(), binary: true}
+	c := &Client{base: baseURL, hc: HTTPClient, store: db.New(), binary: true}
 	for _, o := range opts {
 		o(c)
 	}

@@ -25,7 +25,7 @@ type engine struct {
 
 	// pool hands out destination-passing predictor replicas to batch
 	// shards. Capacity is the replica count; a shard blocks only if more
-	// shards than replicas are ever in flight, which predictBatch's
+	// shards than replicas are ever in flight, which predictBatchInto's
 	// chunking prevents.
 	pool     chan func(in, out []float64) []float64
 	replicas int
@@ -86,28 +86,16 @@ func (e *engine) checkInput(in []float64) error {
 	return nil
 }
 
-// predictBatch runs one coalesced minibatch through the replica pool on
-// the parallel engine: the batch is chunked across replicas, each shard
-// forwards its examples independently, and outputs land at their
-// request's index. Each example runs the exact same per-example forward
-// pass as an in-process PredictCtx (same weights, same accumulation
-// order), so batching is bit-identical by construction regardless of
-// batch composition or worker count.
-func (e *engine) predictBatch(ins [][]float64) [][]float64 {
-	out := make([][]float64, len(ins))
-	flat := make([]float64, len(ins)*e.outSize)
-	for i := range out {
-		out[i] = flat[i*e.outSize : (i+1)*e.outSize]
-	}
-	e.predictBatchInto(ins, out)
-	return out
-}
-
-// predictBatchInto is the destination-passing predictBatch: outs[i] must
-// have length outSize and receives the prediction for ins[i]. Beyond the
-// outs buffers (which the batcher carves from one flat per-batch
-// allocation), the steady-state batch performs no heap allocation — the
-// replica closures write straight into their request's slot.
+// predictBatchInto runs one coalesced minibatch through the replica
+// pool on the parallel engine: outs[i] must have length outSize and
+// receives the prediction for ins[i]. The batch is chunked across
+// replicas, each shard forwards its examples independently, and each
+// example runs the exact same per-example forward pass as an in-process
+// PredictCtx (same weights, same accumulation order), so batching is
+// bit-identical by construction regardless of batch composition or
+// worker count. Beyond the outs buffers the steady-state batch performs
+// no heap allocation — the replica closures write straight into their
+// request's slot.
 func (e *engine) predictBatchInto(ins, outs [][]float64) {
 	if len(ins) == 1 {
 		fn := <-e.pool

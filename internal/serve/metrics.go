@@ -2,14 +2,15 @@ package serve
 
 import (
 	"strconv"
+	"time"
 
 	"github.com/autonomizer/autonomizer/internal/obs"
 )
 
 // serveStage enumerates the per-stage latency decomposition of one
-// served request: time queued, time the batch window spent assembling,
-// time inside the engine forward pass, time encoding the response. The
-// names are the closed vocabulary of the "stage" label.
+// served request: time queued, time its batch spent assembling, time
+// inside the engine forward pass, time encoding the response. The names
+// are the closed vocabulary of the "stage" label.
 type serveStage int
 
 const (
@@ -32,8 +33,7 @@ type metricsSet struct {
 	reg *obs.Registry
 
 	// batchSize is the dynamic batcher's headline distribution: how many
-	// requests each dispatched batch coalesced. The smoke gate asserts
-	// this shows batches above 1 under concurrent load.
+	// requests each dispatched batch coalesced.
 	batchSize *obs.Histogram
 	batches   *obs.Counter
 	coalesce  *obs.Histogram
@@ -53,7 +53,7 @@ func newMetricsSet(reg *obs.Registry) *metricsSet {
 		batches: reg.Counter("autonomizer_serve_batches_total",
 			"Inference batches dispatched by the micro-batcher.", nil),
 		coalesce: reg.Histogram("autonomizer_serve_coalesce_seconds",
-			"Time a request waited in the batching window before dispatch.",
+			"Time a request waited in its model's queue before its batch dispatched.",
 			nil, nil),
 		overloads: reg.Counter("autonomizer_serve_overloaded_total",
 			"Requests rejected by backpressure (bounded queue full).", nil),
@@ -64,14 +64,6 @@ func newMetricsSet(reg *obs.Registry) *metricsSet {
 			nil, obs.Labels{"stage": stageName[st]})
 	}
 	return m
-}
-
-// stageObserve records one stage duration in seconds.
-func (m *metricsSet) stageObserve(st serveStage, secs float64) {
-	if m == nil {
-		return
-	}
-	m.stages[st].Observe(secs)
 }
 
 // stageTimer starts a stage timer (zero Timer when disabled).
@@ -157,15 +149,21 @@ func (m *metricsSet) overloaded() {
 	m.overloads.Inc()
 }
 
-// observeBatch records one dispatched batch and its members' coalesce
-// latencies (in seconds).
-func (m *metricsSet) observeBatch(size int, waits []float64) {
+// observeBatch records one batch as it dispatches: its size, each
+// member's wait from enqueue to dispatch (the coalesce histogram and
+// the queue_wait stage) and the batch's assembly time, measured from
+// its first member's enqueue.
+func (m *metricsSet) observeBatch(batch []*batchCall) {
 	if m == nil {
 		return
 	}
+	now := time.Now()
 	m.batches.Inc()
-	m.batchSize.Observe(float64(size))
-	for _, w := range waits {
+	m.batchSize.Observe(float64(len(batch)))
+	for _, c := range batch {
+		w := now.Sub(c.enq).Seconds()
 		m.coalesce.Observe(w)
+		m.stages[stageQueueWait].Observe(w)
 	}
+	m.stages[stageBatchAssemble].Observe(now.Sub(batch[0].enq).Seconds())
 }

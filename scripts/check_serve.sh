@@ -5,10 +5,10 @@
 # started with -demo so the "demo" model is installed) through the
 # whole serving contract: health, model listing, JSON and error
 # answers on /v1/predict and /v1/act, load shedding classification,
-# atomic hot reload with a version bump, and — the point of the
-# subsystem — evidence in the batch-size histogram that concurrent
-# clients actually coalesced into multi-request batches (DESIGN.md
-# §5d). Run it against `auserve -demo [-snapshot f]`.
+# atomic hot reload with a version bump, and — the batching contract of
+# DESIGN.md §5d — evidence in the batch_assemble stage histogram that
+# the work-conserving batcher dispatches without waiting for company.
+# Run it against `auserve -demo [-snapshot f]`.
 set -euo pipefail
 
 BASE="${1:-http://127.0.0.1:8080}"
@@ -63,8 +63,8 @@ code=$(curl -s -o /tmp/serve_err.json -w '%{http_code}' -X POST "$BASE/v1/predic
 [ "$code" = "400" ] || die "wrong-size input answered HTTP $code, want 400"
 grep -q '"class":"spec_invalid"' /tmp/serve_err.json || die "wrong-size input not classed: $(cat /tmp/serve_err.json)"
 
-# Concurrent clients hammer predict so the micro-batcher has company to
-# coalesce; each client issues PER_CLIENT sequential requests.
+# Concurrent clients hammer predict; each client issues PER_CLIENT
+# sequential requests.
 note "driving $CLIENTS concurrent clients x $PER_CLIENT requests"
 for c in $(seq 1 "$CLIENTS"); do
     (
@@ -77,20 +77,26 @@ for c in $(seq 1 "$CLIENTS"); do
 done
 wait
 
-# The batch-size histogram must show real coalescing: batches of more
-# than one request. le="1" counts the singleton batches; the total
-# count minus that is the multi-request batches.
+# Work-conserving batching: a batch dispatches as soon as the collector
+# has drained what is queued, so at least half of all batches must
+# assemble within 1 ms (a fixed batching window would put every one at
+# the window's length). Whether concurrent requests coalesced depends
+# on timing, so the multi-request batch count is only a note; the Go
+# test TestWorkConserving pins coalescing deterministically.
 metrics=$(curl -fsS "$BASE/metrics")
 grep -q '^autonomizer_serve_batch_size_bucket' <<<"$metrics" || die "/metrics missing the batch-size histogram"
+fast=$(sed -n 's/^autonomizer_serve_stage_duration_seconds_bucket{stage="batch_assemble",le="0.001"} \([0-9]*\)$/\1/p' <<<"$metrics")
+assembled=$(sed -n 's/^autonomizer_serve_stage_duration_seconds_count{stage="batch_assemble"} \([0-9]*\)$/\1/p' <<<"$metrics")
+if [ -z "$fast" ] || [ -z "$assembled" ]; then
+    die "could not read the batch_assemble stage histogram (le=0.001 '$fast', count '$assembled')"
+elif [ "$assembled" -eq 0 ] || [ $((2 * fast)) -lt "$assembled" ]; then
+    die "only $fast of $assembled batches assembled within 1ms — the batcher is waiting for company"
+else
+    note "work-conserving dispatch confirmed: $fast of $assembled batches assembled within 1ms"
+fi
 singles=$(sed -n 's/^autonomizer_serve_batch_size_bucket{le="1"} \([0-9]*\)$/\1/p' <<<"$metrics")
 total=$(sed -n 's/^autonomizer_serve_batch_size_count \([0-9]*\)$/\1/p' <<<"$metrics")
-if [ -z "$singles" ] || [ -z "$total" ]; then
-    die "could not read batch-size histogram (singles='$singles' total='$total')"
-elif [ "$total" -le "$singles" ]; then
-    die "no multi-request batches observed (total=$total singleton=$singles) — batching is not coalescing"
-else
-    note "coalescing confirmed: $((total - singles)) of $total batches had >1 request"
-fi
+note "$((total - singles)) of $total batches had >1 request"
 grep -qE '^autonomizer_serve_queue_depth\{model="demo"\} [0-9]' <<<"$metrics" || die "/metrics missing the queue-depth gauge"
 grep -qE '^autonomizer_serve_requests_total\{.*endpoint="predict".*\} [1-9]' <<<"$metrics" || die "/metrics missing predict request counter"
 
