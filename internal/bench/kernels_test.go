@@ -5,6 +5,7 @@ import (
 
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/parallel"
+	"github.com/autonomizer/autonomizer/internal/rl"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -50,9 +51,10 @@ func benchCNN() *nn.Network {
 //     speedup, single-core (SetWorkers(1)) so the comparison isolates
 //     cache blocking from sharding.
 //   - Dense/Conv2D forward+backward: layer-level steady state.
-//   - NetworkForward, TrainBatch, ServedPredict: end-to-end allocs/op —
-//     NetworkForward and ServedPredict must report 0 allocs/op after
-//     warm-up; TrainBatch has a fixed small budget (see check_allocs.sh).
+//   - NetworkForward, TrainBatch, DQNObserve, ServedPredict: end-to-end
+//     allocs/op — NetworkForward, DQNObserve and ServedPredict must report
+//     0 allocs/op after warm-up; TrainBatch has a fixed small budget (see
+//     check_allocs.sh).
 func BenchmarkKernels(b *testing.B) {
 	for _, size := range []int{64, 192, 512} {
 		a, bb := tensor.New(size, size), tensor.New(size, size)
@@ -240,6 +242,34 @@ func BenchmarkKernels(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			inst.PredictInto(out, in)
+		}
+	})
+
+	b.Run("DQNObserve", func(b *testing.B) {
+		// One replayed DQN update per op on the Flappybird All network
+		// (DNN 4-[64,32]-2, minibatch 32): the batch-major forward and
+		// backward passes, loss, clip and Adam step. Gated at 0 allocs/op
+		// at width 1.
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		rng := stats.NewRNG(7)
+		agent := rl.NewAgent(nn.NewDNN(4, []int{64, 32}, 2, rng.Split()),
+			nn.NewDNN(4, []int{64, 32}, 2, rng.Split()), 2,
+			rl.Config{BatchSize: 32, WarmupSteps: 64, ReplayCapacity: 4096}, rng.Split())
+		stream := make([]rl.Transition, 256)
+		for i := range stream {
+			s, next := tensor.New(4), tensor.New(4)
+			fillKernel(s, uint64(100+i))
+			fillKernel(next, uint64(400+i))
+			stream[i] = rl.Transition{State: s.Data(), Action: i % 2, Reward: float64(i%3) - 1,
+				NextState: next.Data(), Terminal: i%50 == 49}
+		}
+		for _, tr := range stream {
+			agent.Observe(tr) // fill past warm-up; the last ones train
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agent.Observe(stream[i%len(stream)])
 		}
 	})
 

@@ -12,8 +12,8 @@ import (
 )
 
 // speedupWorkload is the NN hot path the parallel engine shards: a
-// MatMul above the row-sharding cutoff plus one data-parallel training
-// batch on a mid-sized DNN.
+// MatMul above the row-sharding cutoff plus one batch-major training
+// batch (sharded GEMMs) on a mid-sized DNN.
 func speedupWorkload(b *testing.B) {
 	b.Helper()
 	rng := stats.NewRNG(5)

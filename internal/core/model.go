@@ -140,7 +140,6 @@ func (m *model) materialize(inSize, outSize int) error {
 		return net
 	}
 	m.net = build()
-	m.net.SetMaxWorkers(m.spec.Workers)
 
 	switch m.spec.Algo {
 	case QLearn:
@@ -158,7 +157,6 @@ func (m *model) materialize(inSize, outSize int) error {
 			cfg.StateShape = m.spec.InputShape
 		}
 		target := build()
-		target.SetMaxWorkers(m.spec.Workers)
 		m.agent = rl.NewAgent(m.net, target, m.spec.Actions, cfg, m.rng.Split())
 	case AdamOpt:
 		lr := m.spec.LR

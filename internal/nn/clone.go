@@ -2,16 +2,17 @@ package nn
 
 import "github.com/autonomizer/autonomizer/internal/tensor"
 
-// Replicable marks a layer that can produce worker replicas for
-// data-parallel training. A replica shares the original's parameter
-// tensors (forward/backward only read them) but owns private gradient
-// accumulators and forward-pass caches, so replicas of one network may
-// run Forward/Backward concurrently as long as no optimizer step mutates
-// the shared parameters at the same time.
+// Replicable marks a layer that can produce replicas for concurrent
+// inference: core's predictor falls back to a network replica when a
+// model's architecture cannot be compiled into a Plan. A replica shares
+// the original's parameter tensors (forward/backward only read them) but
+// owns private gradient accumulators and forward-pass caches, so replicas
+// of one network may run Forward concurrently as long as no optimizer
+// step mutates the shared parameters at the same time.
 //
 // A layer that cannot be replicated safely (e.g. Dropout, whose RNG draw
 // order is inherently sequential) simply does not implement the
-// interface; networks containing one fall back to sequential training.
+// interface; its network has no replica.
 type Replicable interface {
 	// Replicate returns a worker replica: shared parameters, private
 	// gradients and caches.
@@ -30,7 +31,7 @@ func (d *Dense) Replicate() Layer {
 }
 
 // Replicate implements Replicable: shared kernel/bias, private gradients
-// and im2col cache.
+// and buffers.
 func (c *Conv2D) Replicate() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
@@ -44,7 +45,7 @@ func (c *Conv2D) Replicate() Layer {
 // Replicate implements Replicable (pooling state is per-replica).
 func (m *MaxPool2D) Replicate() Layer { return &MaxPool2D{Size: m.Size} }
 
-// Replicate implements Replicable (the mask cache is per-replica).
+// Replicate implements Replicable (buffers are per-replica).
 func (r *ReLU) Replicate() Layer { return &ReLU{} }
 
 // Replicate implements Replicable.

@@ -16,9 +16,9 @@
 //
 // Determinism contract: a plan's output is bit-identical to
 // Network.Forward on the same weights at every width — the packed dense
-// op reproduces Dot's two-rounding multiply-then-add fold, the packed
-// conv op reproduces the im2col×weights FMA fold, and every activation
-// op copies the layer formula exactly. Enforced by compile_test.go.
+// op reproduces the Dense layer's ascending-k FMA fold, the packed conv
+// op the im2col×weights FMA fold, and every activation op the layer
+// formula exactly. Enforced by compile_test.go.
 package nn
 
 import (
@@ -278,11 +278,7 @@ func (o *opConv) run(in []float64) []float64 {
 			// everything else — including NaN — becomes 0), per element
 			// in the same order as the unfused op pair.
 			for i := range row {
-				if v := row[i] + b; v > 0 {
-					row[i] = v
-				} else {
-					row[i] = 0
-				}
+				row[i] = relu(row[i] + b)
 			}
 			continue
 		}
@@ -389,11 +385,7 @@ func (o *opMap) run(in []float64) []float64 {
 	switch o.c.kind {
 	case mapReLU:
 		for i, x := range in {
-			if x > 0 {
-				out[i] = x
-			} else {
-				out[i] = 0
-			}
+			out[i] = relu(x)
 		}
 	case mapLeakyReLU:
 		for i, x := range in {
@@ -412,25 +404,7 @@ func (o *opMap) run(in []float64) []float64 {
 			out[i] = math.Tanh(x)
 		}
 	case mapSoftmax:
-		max := math.Inf(-1)
-		for _, x := range in {
-			if x > max {
-				max = x
-			}
-		}
-		sum := 0.0
-		for i, x := range in {
-			e := math.Exp(x - max)
-			out[i] = e
-			sum += e
-		}
-		if sum == 0 {
-			auerr.Failf("nn: softmax sum underflowed to zero")
-		}
-		inv := 1 / sum
-		for i := range out {
-			out[i] *= inv
-		}
+		softmaxRow(out, in)
 	}
 	return out
 }

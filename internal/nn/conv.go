@@ -17,14 +17,13 @@ import (
 // configurations use three of these (each followed by max pooling) to
 // digest raw screen pixels, mirroring the DeepMind Atari architecture.
 type Conv2D struct {
-	InC, OutC          int
-	KH, KW             int
-	Stride, Pad        int
-	inH, inW           int // remembered from the last forward pass
-	weights            *tensor.Tensor
-	bias               *tensor.Tensor
-	gradW, gradB       *tensor.Tensor
-	lastOutH, lastOutW int
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+	weights     *tensor.Tensor
+	bias        *tensor.Tensor
+	gradW       *tensor.Tensor
+	gradB       *tensor.Tensor
 
 	// kern is the implicit-GEMM execution state, built lazily on the
 	// first Forward (Replicate leaves it nil) and rebuilt when the input
@@ -39,14 +38,11 @@ type Conv2D struct {
 	// largest buffer.
 	lastIn *tensor.Tensor
 
-	// Reused scratch (DESIGN.md §5e): the 2-D output and its
-	// (OutC, outH, outW) view and the input gradient are layer-owned and
-	// recycled across calls, so steady-state forward/backward allocates
-	// nothing. Outputs are valid until the next call on this layer.
-	out2d     *tensor.Tensor
-	outView   *tensor.Tensor
-	gradWProd *tensor.Tensor // view over arena scratch for the gradW product
-	gradIn    *tensor.Tensor
+	// The output and the input gradient are arena buffers (see buf),
+	// valid until the next call on this layer or Network.Release;
+	// gradWProd views arena scratch for the per-image gradW product.
+	out, gradIn buf
+	gradWProd   *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He initialization.
@@ -69,70 +65,100 @@ func NewConv2D(inC, outC, kh, kw, stride, pad int, rng *stats.RNG) *Conv2D {
 	return c
 }
 
-// Forward convolves the (InC, H, W) input, returning (OutC, outH, outW).
-// The input must stay unchanged until the matching Backward (see lastIn).
+// Forward convolves a (InC, H, W) image to (OutC, outH, outW), or each
+// image of a (B, InC, H, W) batch in ascending order to
+// (B, OutC, outH, outW). The input must stay unchanged until the
+// matching Backward (see lastIn).
 func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	if len(s) != 3 || s[0] != c.InC {
-		auerr.Failf("nn: Conv2D expects (%d,H,W) input, got %v", c.InC, s)
+	rows, batched, chw := imageRows(in, "Conv2D")
+	if chw[0] != c.InC {
+		auerr.Failf("nn: Conv2D expects (%d,H,W) input, got %v", c.InC, in.Shape())
 	}
-	if c.kern == nil || c.inH != s[1] || c.inW != s[2] {
+	if g := c.geom(); c.kern == nil || g.InH != chw[1] || g.InW != chw[2] {
 		c.kern = tensor.NewConvKernel(tensor.NewConvGeom(
-			c.InC, s[1], s[2], c.KH, c.KW, c.Stride, c.Pad, c.OutC))
+			c.InC, chw[1], chw[2], c.KH, c.KW, c.Stride, c.Pad, c.OutC))
 	}
-	c.inH, c.inW = s[1], s[2]
-	geom := c.kern.Geom()
-	c.lastOutH, c.lastOutW = geom.OutH, geom.OutW
-	n := c.lastOutH * c.lastOutW
+	g := c.geom()
+	n := g.OutH * g.OutW
+	inPer, outPer := c.InC*g.InH*g.InW, c.OutC*n
 	c.lastIn = in
-	c.out2d = tensor.Reuse(c.out2d, c.OutC, n)
-	out := c.out2d
-	c.kern.Forward(out.Data(), in.Data(), c.weights.Data()) // (OutC, outH*outW)
-	// Add per-output-channel bias after the product, exactly like the
-	// im2col reference (bias never enters the FMA fold).
+	out := c.out.getRows(batched, rows, c.OutC, g.OutH, g.OutW)
+	od, id := out.Data(), in.Data()
 	bd := c.bias.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		b := bd[oc]
-		row := out.Data()[oc*n : (oc+1)*n]
-		for i := range row {
-			row[i] += b
+	for r := 0; r < rows; r++ {
+		o := od[r*outPer : (r+1)*outPer]
+		c.kern.Forward(o, id[r*inPer:(r+1)*inPer], c.weights.Data()) // (OutC, outH*outW)
+		// Add per-output-channel bias after the product, exactly like
+		// the im2col reference (bias never enters the FMA fold).
+		for oc := 0; oc < c.OutC; oc++ {
+			b := bd[oc]
+			row := o[oc*n : (oc+1)*n]
+			for i := range row {
+				row[i] += b
+			}
 		}
 	}
-	c.outView = tensor.ViewOf(c.outView, out.Data(), c.OutC, c.lastOutH, c.lastOutW)
-	return c.outView
+	return out
+}
+
+// geom returns the current kernel geometry (zero before the first
+// Forward).
+func (c *Conv2D) geom() tensor.ConvGeom {
+	if c.kern == nil {
+		return tensor.ConvGeom{}
+	}
+	return c.kern.Geom()
 }
 
 // Backward accumulates weight/bias gradients and returns the input
 // gradient via the fused implicit-GEMM adjoints (no column matrix, no
-// column-gradient matrix).
+// column-gradient matrix), one image at a time in ascending order.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.lastIn == nil {
+	if !live(c.lastIn) {
 		auerr.Failf("nn: Conv2D Backward before Forward")
 	}
-	n := c.lastOutH * c.lastOutW
-	g := gradOut.Data()
-	// dL/dW += g × im2col(in)ᵀ, gathered implicitly. The per-example
-	// product must be formed from zero and then added (not chained
-	// through the accumulator): the data-parallel reduction in
-	// Network.TrainBatch adds per-example products exactly this way, and
-	// the two paths must associate identically to stay bit-equal at any
-	// worker count. dL/dinput = col2im(Wᵀ × g), scattered directly from
-	// the kernel's per-channel stripes.
+	g := c.geom()
+	n := g.OutH * g.OutW
+	inPer, outPer := c.InC*g.InH*g.InW, c.OutC*n
+	rows := c.lastIn.Size() / inPer
+	if gradOut.Size() != rows*outPer {
+		auerr.Failf("nn: Conv2D Backward expects %d grads, got %d", rows*outPer, gradOut.Size())
+	}
+	gd := gradOut.Data()
+	id := c.lastIn.Data()
+	gradIn := c.gradIn.get(c.lastIn.Shape()...)
+	gi := gradIn.Data()
+	// Per image: dL/dW += g × im2col(in)ᵀ, gathered implicitly. The
+	// per-image product is formed from zero and then added (not chained
+	// through the accumulator), so the fold does not depend on the batch
+	// size. dL/dinput = col2im(Wᵀ × g), scattered directly from the
+	// kernel's per-channel stripes.
 	pw := tensor.Scratch.Get(c.gradW.Size())
 	c.gradWProd = tensor.ViewOf(c.gradWProd, *pw, c.OutC, c.InC*c.KH*c.KW)
-	c.gradIn = tensor.Reuse(c.gradIn, c.InC, c.inH, c.inW)
-	c.kern.Backward(c.gradWProd.Data(), c.gradIn.Data(), c.lastIn.Data(), c.weights.Data(), g)
-	c.gradW.AddInPlace(c.gradWProd)
-	tensor.Scratch.Put(pw)
-	// dL/db = row sums of g
-	for oc := 0; oc < c.OutC; oc++ {
-		sum := 0.0
-		for _, v := range g[oc*n : (oc+1)*n] {
-			sum += v
+	prod := c.gradWProd
+	gb := c.gradB.Data()
+	for r := 0; r < rows; r++ {
+		gr := gd[r*outPer : (r+1)*outPer]
+		c.kern.Backward(prod.Data(), gi[r*inPer:(r+1)*inPer], id[r*inPer:(r+1)*inPer], c.weights.Data(), gr)
+		c.gradW.AddInPlace(prod)
+		// dL/db = row sums of g
+		for oc := 0; oc < c.OutC; oc++ {
+			sum := 0.0
+			for _, v := range gr[oc*n : (oc+1)*n] {
+				sum += v
+			}
+			gb[oc] += sum
 		}
-		c.gradB.Data()[oc] += sum
 	}
-	return c.gradIn
+	tensor.Scratch.Put(pw)
+	clearView(c.gradWProd)
+	return gradIn
+}
+
+func (c *Conv2D) release() {
+	c.out.release()
+	c.gradIn.release()
+	c.lastIn = nil
 }
 
 // Params returns the kernel and bias tensors.
@@ -155,11 +181,13 @@ func (c *Conv2D) Name() string {
 // MaxPool2D performs non-overlapping spatial max pooling. The paper's
 // DeepMind-style Raw models follow each convolution with one of these.
 type MaxPool2D struct {
-	Size    int
-	argmax  []int // flat input index of each pooled maximum
-	inShape []int
-	out     *tensor.Tensor // reused output buffer, valid until next Forward
-	gradIn  *tensor.Tensor // reused backward buffer, valid until next Backward
+	paramless
+	Size int
+	// lastIn is the input of the last Forward: Backward re-finds each
+	// window's maximum in it rather than keeping an argmax table. out and
+	// gradIn are arena buffers (see buf).
+	lastIn      *tensor.Tensor
+	out, gradIn buf
 }
 
 // NewMaxPool2D constructs a pooling layer with a square window.
@@ -170,43 +198,47 @@ func NewMaxPool2D(size int) *MaxPool2D {
 	return &MaxPool2D{Size: size}
 }
 
-// Forward max-pools each channel with a size×size window and stride
-// equal to the window size. Ragged edges truncate.
-func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	if len(s) != 3 {
-		auerr.Failf("nn: MaxPool2D expects (C,H,W), got %v", s)
-	}
-	c, h, w := s[0], s[1], s[2]
-	oh, ow := h/m.Size, w/m.Size
+// pooledDims validates a (C,H,W) image against the window and returns
+// the pooled extent.
+func (m *MaxPool2D) pooledDims(chw []int) (oh, ow int) {
+	oh, ow = chw[1]/m.Size, chw[2]/m.Size
 	if oh == 0 || ow == 0 {
-		auerr.Failf("nn: MaxPool2D window %d too large for %dx%d input", m.Size, h, w)
+		auerr.Failf("nn: MaxPool2D window %d too large for %dx%d input", m.Size, chw[1], chw[2])
 	}
-	m.inShape = append(m.inShape[:0], s...)
-	m.out = tensor.Reuse(m.out, c, oh, ow)
-	out := m.out
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size())
+	return oh, ow
+}
+
+// window returns the maximum of the pooling window at (oy, ox) of a
+// w-wide plane and its flat index in the plane: the first element
+// strictly greater than a -Inf start, so NaN never wins. The index is -1
+// when nothing beats -Inf (an all-NaN or all -Inf window).
+func (m *MaxPool2D) window(plane []float64, w, oy, ox int) (float64, int) {
+	best, bestIdx := math.Inf(-1), -1
+	for dy := 0; dy < m.Size; dy++ {
+		for dx := 0; dx < m.Size; dx++ {
+			idx := (oy*m.Size+dy)*w + ox*m.Size + dx
+			if v := plane[idx]; v > best {
+				best, bestIdx = v, idx
+			}
+		}
 	}
-	m.argmax = m.argmax[:out.Size()]
-	for ch := 0; ch < c; ch++ {
+	return best, bestIdx
+}
+
+// Forward max-pools each channel of each image with a size×size window
+// and stride equal to the window size. Ragged edges truncate.
+func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
+	rows, batched, chw := imageRows(in, "MaxPool2D")
+	c, h, w := chw[0], chw[1], chw[2]
+	oh, ow := m.pooledDims(chw)
+	m.lastIn = in
+	out := m.out.getRows(batched, rows, c, oh, ow)
+	od, id := out.Data(), in.Data()
+	for p := 0; p < rows*c; p++ {
+		plane := id[p*h*w : (p+1)*h*w]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				bestIdx := -1
-				for dy := 0; dy < m.Size; dy++ {
-					for dx := 0; dx < m.Size; dx++ {
-						iy, ix := oy*m.Size+dy, ox*m.Size+dx
-						idx := (ch*h+iy)*w + ix
-						if v := in.Data()[idx]; v > best {
-							best = v
-							bestIdx = idx
-						}
-					}
-				}
-				oIdx := (ch*oh+oy)*ow + ox
-				out.Data()[oIdx] = best
-				m.argmax[oIdx] = bestIdx
+				od[(p*oh+oy)*ow+ox], _ = m.window(plane, w, oy, ox)
 			}
 		}
 	}
@@ -214,31 +246,40 @@ func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward routes each output gradient to the input position that won the
-// max.
+// max. A window nothing won (all NaN or -Inf) passes no gradient.
 func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if m.inShape == nil {
+	if !live(m.lastIn) {
 		auerr.Failf("nn: MaxPool2D Backward before Forward")
 	}
-	if gradOut.Size() != len(m.argmax) {
+	s := m.lastIn.Shape()
+	chw := s[len(s)-3:]
+	h, w := chw[1], chw[2]
+	oh, ow := m.pooledDims(chw)
+	planes := m.lastIn.Size() / (h * w)
+	if gradOut.Size() != planes*oh*ow {
 		auerr.Failf("nn: MaxPool2D Backward shape mismatch")
 	}
-	m.gradIn = tensor.Reuse(m.gradIn, m.inShape...)
-	out := m.gradIn
-	out.Fill(0)
-	for i, g := range gradOut.Data() {
-		out.Data()[m.argmax[i]] += g
+	gradIn := m.gradIn.get(s...)
+	gradIn.Fill(0)
+	gi, id, g := gradIn.Data(), m.lastIn.Data(), gradOut.Data()
+	for p := 0; p < planes; p++ {
+		plane := id[p*h*w : (p+1)*h*w]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				if _, idx := m.window(plane, w, oy, ox); idx >= 0 {
+					gi[p*h*w+idx] += g[(p*oh+oy)*ow+ox]
+				}
+			}
+		}
 	}
-	return out
+	return gradIn
 }
 
-// Params implements Layer (pooling has none).
-func (m *MaxPool2D) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (m *MaxPool2D) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (m *MaxPool2D) ZeroGrads() {}
+func (m *MaxPool2D) release() {
+	m.out.release()
+	m.gradIn.release()
+	m.lastIn = nil
+}
 
 // Name implements Layer.
 func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool(%d)", m.Size) }

@@ -20,15 +20,16 @@ type Dense struct {
 	gradW   *tensor.Tensor
 	gradB   *tensor.Tensor
 
-	// Reused scratch (DESIGN.md §5e): lastIn is an allocation-free view
-	// of the current input for the backward pass; out and gradIn are
-	// layer-owned destinations recycled across calls, so the steady-state
-	// forward/backward makes no heap allocations. Both are fully
-	// overwritten each call; callers needing a result to survive the next
-	// pass must Clone it.
-	lastIn *tensor.Tensor
-	out    *tensor.Tensor
-	gradIn *tensor.Tensor
+	// x is an allocation-free (B, InSize) view of the current input,
+	// kept for the backward pass (the caller must not mutate the input in
+	// between); inShape is that input's shape, which the input gradient
+	// takes. out and gradIn are arena buffers (see buf), valid until the
+	// next call on this layer or Network.Release; o2, g2, p2 and gi2 are
+	// rank-2 GEMM views of the output, the output gradient, the
+	// weight-gradient product and the input gradient.
+	x, o2, g2, p2, gi2 *tensor.Tensor
+	inShape            []int
+	out, gradIn        buf
 }
 
 // NewDense constructs a fully connected layer with He-initialized weights
@@ -52,61 +53,68 @@ func NewDense(inSize, outSize int, rng *stats.RNG) *Dense {
 	return d
 }
 
-// Forward computes W·in + b. The input must be a vector of length InSize
-// (any shape with that many elements is accepted and flattened).
+// Forward computes X·Wᵀ + b for a batch of examples (one GEMM), each
+// output row folding its terms ascending-k with math.FMA from zero, then
+// adding the bias. A rank-1 input is one example and yields a rank-1
+// output; otherwise the output is (B, OutSize).
 func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Size() != d.InSize {
-		auerr.Failf("nn: Dense expects %d inputs, got %d", d.InSize, in.Size())
-	}
-	d.lastIn = tensor.ViewOf(d.lastIn, in.Data(), in.Size())
-	d.out = tensor.Reuse(d.out, d.OutSize)
-	out := d.out
-	w := d.weights.Data()
-	x := d.lastIn.Data()
+	rows, batched := denseRows(in, d.InSize, "Dense")
+	d.inShape = append(d.inShape[:0], in.Shape()...)
+	d.x = tensor.ViewOf(d.x, in.Data(), rows, d.InSize)
+	out := d.out.getRows(batched, rows, d.OutSize)
+	d.o2 = tensor.ViewOf(d.o2, out.Data(), rows, d.OutSize)
+	tensor.MatMulABTInto(d.o2, d.x, d.weights)
+	od := out.Data()
 	bd := d.bias.Data()
-	for o := 0; o < d.OutSize; o++ {
-		row := w[o*d.InSize : (o+1)*d.InSize]
-		out.Data()[o] = tensor.Dot(row, x) + bd[o]
+	for r := 0; r < rows; r++ {
+		row := od[r*d.OutSize : (r+1)*d.OutSize]
+		for o, b := range bd {
+			row[o] += b
+		}
 	}
 	return out
 }
 
-// Backward accumulates dL/dW = gradOut ⊗ in and dL/db = gradOut, and
-// returns dL/din = Wᵀ·gradOut.
+// Backward accumulates dL/dW += Gᵀ·X and dL/db += Σ rows of G, and
+// returns dL/dX = G·W — one GEMM each. The weight-gradient GEMM's k-loop
+// runs over the examples in ascending order; its product is formed from
+// zero and then added to the accumulator, like Conv2D's. No zero
+// multiplier is skipped: 0×Inf and 0×NaN are NaN and must reach the
+// input gradient.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if gradOut.Size() != d.OutSize {
-		auerr.Failf("nn: Dense backward expects %d grads, got %d", d.OutSize, gradOut.Size())
-	}
-	if d.lastIn == nil {
+	if !live(d.x) {
 		auerr.Failf("nn: Dense Backward before Forward")
 	}
+	rows := d.x.Shape()[0]
+	if gradOut.Size() != rows*d.OutSize {
+		auerr.Failf("nn: Dense backward expects %d grads, got %d", rows*d.OutSize, gradOut.Size())
+	}
+	d.g2 = tensor.ViewOf(d.g2, gradOut.Data(), rows, d.OutSize)
+	pw := tensor.Scratch.Get(d.gradW.Size())
+	d.p2 = tensor.ViewOf(d.p2, *pw, d.OutSize, d.InSize)
+	tensor.MatMulATBInto(d.p2, d.g2, d.x)
+	d.gradW.AddInPlace(d.p2)
+	tensor.Scratch.Put(pw)
+	clearView(d.p2)
 	g := gradOut.Data()
-	x := d.lastIn.Data()
-	gw := d.gradW.Data()
-	for o := 0; o < d.OutSize; o++ {
-		go_ := g[o]
-		d.gradB.Data()[o] += go_
-		row := gw[o*d.InSize : (o+1)*d.InSize]
-		for i := 0; i < d.InSize; i++ {
-			row[i] += go_ * x[i]
+	gb := d.gradB.Data()
+	for r := 0; r < rows; r++ {
+		for o, v := range g[r*d.OutSize : (r+1)*d.OutSize] {
+			gb[o] += v
 		}
 	}
-	d.gradIn = tensor.Reuse(d.gradIn, d.InSize)
-	gradIn := d.gradIn
-	gradIn.Fill(0)
-	w := d.weights.Data()
-	gi := gradIn.Data()
-	for o := 0; o < d.OutSize; o++ {
-		go_ := g[o]
-		if go_ == 0 {
-			continue
-		}
-		row := w[o*d.InSize : (o+1)*d.InSize]
-		for i := 0; i < d.InSize; i++ {
-			gi[i] += go_ * row[i]
-		}
-	}
+	gradIn := d.gradIn.get(d.inShape...)
+	d.gi2 = tensor.ViewOf(d.gi2, gradIn.Data(), rows, d.InSize)
+	tensor.MatMulInto(d.gi2, d.g2, d.weights)
 	return gradIn
+}
+
+func (d *Dense) release() {
+	d.out.release()
+	d.gradIn.release()
+	for _, v := range [...]*tensor.Tensor{d.x, d.o2, d.g2, d.gi2} {
+		clearView(v)
+	}
 }
 
 // Params returns the weight and bias tensors.

@@ -12,6 +12,8 @@ import (
 // LeakyReLU is max(αx, x); a drop-in for ReLU when dying units are a
 // concern on small training sets.
 type LeakyReLU struct {
+	paramless
+	outGrad
 	// Alpha is the negative-side slope (0 selects 0.01).
 	Alpha  float64
 	lastIn *tensor.Tensor
@@ -25,13 +27,17 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 	return &LeakyReLU{Alpha: alpha}
 }
 
-// Forward applies the activation elementwise.
+// Forward applies the activation elementwise. The input must stay
+// unchanged until the matching Backward.
 func (l *LeakyReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
-	l.lastIn = in.Clone()
-	out := in.Clone()
-	for i, x := range out.Data() {
+	l.lastIn = in
+	out := l.out.get(in.Shape()...)
+	od := out.Data()
+	for i, x := range in.Data() {
 		if x < 0 {
-			out.Data()[i] = l.Alpha * x
+			od[i] = l.Alpha * x
+		} else {
+			od[i] = x
 		}
 	}
 	return out
@@ -40,39 +46,43 @@ func (l *LeakyReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 // Backward scales the gradient by 1 or Alpha depending on the input
 // sign.
 func (l *LeakyReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.lastIn == nil || l.lastIn.Size() != gradOut.Size() {
+	if !live(l.lastIn) || l.lastIn.Size() != gradOut.Size() {
 		auerr.Failf("nn: LeakyReLU Backward shape mismatch or called before Forward")
 	}
-	out := gradOut.Clone()
-	for i, x := range l.lastIn.Data() {
-		if x < 0 {
-			out.Data()[i] *= l.Alpha
+	out := l.grad.get(gradOut.Shape()...)
+	od := out.Data()
+	x := l.lastIn.Data()
+	for i, g := range gradOut.Data() {
+		if x[i] < 0 {
+			od[i] = g * l.Alpha
+		} else {
+			od[i] = g
 		}
 	}
 	return out
 }
 
-// Params implements Layer.
-func (l *LeakyReLU) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (l *LeakyReLU) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (l *LeakyReLU) ZeroGrads() {}
+func (l *LeakyReLU) release() {
+	l.outGrad.release()
+	l.lastIn = nil
+}
 
 // Name implements Layer.
 func (l *LeakyReLU) Name() string { return fmt.Sprintf("leakyrelu(%g)", l.Alpha) }
 
 // Dropout randomly zeroes activations during training (inverted
 // dropout: survivors are scaled by 1/keep so inference needs no
-// correction). Call SetTraining(false) for deployment.
+// correction). Call SetTraining(false) for deployment. Draws are made in
+// element order, so a batch consumes the RNG exactly as its examples
+// would one after another.
 type Dropout struct {
+	paramless
 	// Rate is the drop probability in [0, 1).
-	Rate     float64
-	rng      *stats.RNG
-	training bool
-	mask     []float64
+	Rate            float64
+	rng             *stats.RNG
+	training        bool
+	masked          bool // the last Forward dropped (mask is valid)
+	out, mask, grad buf
 }
 
 // NewDropout constructs a dropout layer in training mode.
@@ -90,22 +100,21 @@ func (d *Dropout) SetTraining(t bool) { d.training = t }
 // Forward drops units in training mode and is the identity otherwise.
 func (d *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if !d.training || d.Rate == 0 {
-		d.mask = nil
+		d.masked = false
 		return in
 	}
-	out := in.Clone()
-	if cap(d.mask) < in.Size() {
-		d.mask = make([]float64, in.Size())
-	}
-	d.mask = d.mask[:in.Size()]
+	d.masked = true
+	out := d.out.get(in.Shape()...)
+	mask := d.mask.get(in.Size()).Data()
+	od := out.Data()
 	keep := 1 - d.Rate
-	for i := range out.Data() {
+	for i, x := range in.Data() {
 		if d.rng.Float64() < d.Rate {
-			d.mask[i] = 0
-			out.Data()[i] = 0
+			mask[i] = 0
+			od[i] = 0
 		} else {
-			d.mask[i] = 1 / keep
-			out.Data()[i] *= 1 / keep
+			mask[i] = 1 / keep
+			od[i] = x * (1 / keep)
 		}
 	}
 	return out
@@ -113,27 +122,27 @@ func (d *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward routes gradients through the surviving units.
 func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
+	if !d.masked {
 		return gradOut
 	}
-	if len(d.mask) != gradOut.Size() {
+	mask := d.mask.t.Data()
+	if len(mask) != gradOut.Size() {
 		auerr.Failf("nn: Dropout Backward shape mismatch")
 	}
-	out := gradOut.Clone()
-	for i := range out.Data() {
-		out.Data()[i] *= d.mask[i]
+	out := d.grad.get(gradOut.Shape()...)
+	od := out.Data()
+	for i, g := range gradOut.Data() {
+		od[i] = g * mask[i]
 	}
 	return out
 }
 
-// Params implements Layer.
-func (d *Dropout) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (d *Dropout) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (d *Dropout) ZeroGrads() {}
+func (d *Dropout) release() {
+	d.out.release()
+	d.mask.release()
+	d.grad.release()
+	d.masked = false
+}
 
 // Name implements Layer.
 func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%g)", d.Rate) }

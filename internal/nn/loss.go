@@ -8,9 +8,13 @@ import (
 )
 
 // Loss scores a prediction against a target and produces the gradient of
-// the loss with respect to the prediction.
+// the loss with respect to the prediction. Losses are row-wise: a
+// rank-2 (B, F) prediction is B examples of F outputs, anything else one
+// example. Loss sums the per-example losses in ascending order (callers
+// divide by B for the batch mean), so Grad is each example's own
+// gradient.
 type Loss interface {
-	// Loss returns the scalar loss value.
+	// Loss returns the sum over examples of each example's loss.
 	Loss(pred, target *tensor.Tensor) float64
 	// Grad returns d loss / d pred.
 	Grad(pred, target *tensor.Tensor) *tensor.Tensor
@@ -28,22 +32,49 @@ type GradIntoLoss interface {
 	GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor
 }
 
+// rowsOf splits a prediction into examples: a rank-2 (B, F) tensor is B
+// rows of F, anything else a single row.
+func rowsOf(t *tensor.Tensor) (rows, width int) {
+	if s := t.Shape(); len(s) == 2 {
+		return s[0], s[1]
+	}
+	return 1, t.Size()
+}
+
+// sumRows is the row-wise loss fold: each example sums term over its
+// (prediction, target) pairs from zero — divided by its output count
+// when mean — and the examples' losses are summed in order.
+func sumRows(pred, target *tensor.Tensor, mean bool, term func(p, t float64) float64) float64 {
+	checkSameSize(pred, target)
+	rows, n := rowsOf(pred)
+	p, t := pred.Data(), target.Data()
+	total := 0.0
+	for r := 0; r < rows; r++ {
+		sum := 0.0
+		for i := r * n; i < (r+1)*n; i++ {
+			sum += term(p[i], t[i])
+		}
+		if mean {
+			sum /= float64(n)
+		}
+		total += sum
+	}
+	return total
+}
+
 // MSE is the mean-squared-error loss used for the supervised parameter
 // regression models (predicting lo/hi/sigma etc.).
 type MSE struct{}
 
-// Loss returns mean((pred-target)²).
+// Loss returns Σ over examples of mean((pred-target)²).
 func (MSE) Loss(pred, target *tensor.Tensor) float64 {
-	checkSameSize(pred, target)
-	sum := 0.0
-	for i, p := range pred.Data() {
-		d := p - target.Data()[i]
-		sum += d * d
-	}
-	return sum / float64(pred.Size())
+	return sumRows(pred, target, true, func(p, t float64) float64 {
+		d := p - t
+		return d * d
+	})
 }
 
-// Grad returns 2(pred-target)/n.
+// Grad returns 2(pred-target)/n per example of n outputs.
 func (m MSE) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
 	return m.GradInto(tensor.New(pred.Shape()...), pred, target)
 }
@@ -52,7 +83,8 @@ func (m MSE) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
 func (MSE) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
 	checkSameSize(pred, target)
 	checkSameSize(dst, pred)
-	n := float64(pred.Size())
+	_, w := rowsOf(pred)
+	n := float64(w)
 	od := dst.Data()
 	td := target.Data()
 	for i, p := range pred.Data() {
@@ -79,23 +111,20 @@ func (h Huber) delta() float64 {
 	return h.Delta
 }
 
-// Loss returns the mean Huber loss.
+// Loss returns Σ over examples of the example's mean Huber loss.
 func (h Huber) Loss(pred, target *tensor.Tensor) float64 {
-	checkSameSize(pred, target)
 	d := h.delta()
-	sum := 0.0
-	for i, p := range pred.Data() {
-		e := math.Abs(p - target.Data()[i])
+	return sumRows(pred, target, true, func(p, t float64) float64 {
+		e := math.Abs(p - t)
 		if e <= d {
-			sum += 0.5 * e * e
-		} else {
-			sum += d * (e - 0.5*d)
+			return 0.5 * e * e
 		}
-	}
-	return sum / float64(pred.Size())
+		return d * (e - 0.5*d)
+	})
 }
 
-// Grad returns the elementwise Huber gradient divided by n.
+// Grad returns the elementwise Huber gradient divided by the example's
+// output count n.
 func (h Huber) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
 	return h.GradInto(tensor.New(pred.Shape()...), pred, target)
 }
@@ -105,7 +134,8 @@ func (h Huber) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
 	checkSameSize(pred, target)
 	checkSameSize(dst, pred)
 	d := h.delta()
-	n := float64(pred.Size())
+	_, w := rowsOf(pred)
+	n := float64(w)
 	od := dst.Data()
 	td := target.Data()
 	for i, p := range pred.Data() {
@@ -130,17 +160,14 @@ func (h Huber) Name() string { return "huber" }
 // is (pred - target), matching the Softmax layer's pass-through backward.
 type CrossEntropy struct{}
 
-// Loss returns -Σ target·log(pred).
+// Loss returns Σ over examples of -Σ target·log(pred).
 func (CrossEntropy) Loss(pred, target *tensor.Tensor) float64 {
-	checkSameSize(pred, target)
-	sum := 0.0
-	for i, p := range pred.Data() {
-		if target.Data()[i] == 0 {
-			continue
+	return sumRows(pred, target, false, func(p, t float64) float64 {
+		if t == 0 {
+			return 0
 		}
-		sum -= target.Data()[i] * math.Log(math.Max(p, 1e-12))
-	}
-	return sum
+		return -(t * math.Log(math.Max(p, 1e-12)))
+	})
 }
 
 // Grad returns pred - target (the combined softmax+CE gradient).

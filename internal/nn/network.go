@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -18,31 +17,17 @@ type Network struct {
 	loss   Loss
 	opt    Optimizer
 
-	// maxWorkers caps this network's data-parallel training width
-	// (0 = use the global parallel.Workers setting unchanged).
-	maxWorkers int
-
-	// Data-parallel scratch state, reused across TrainBatch calls: one
-	// replica per worker plus per-example gradient/loss buffers that make
-	// the reduction order independent of scheduling (see
-	// trainBatchParallel).
-	replicas  []*Network
-	itemGrads [][]*tensor.Tensor
-	itemLoss  []float64
-
 	// Cached views and scratch (DESIGN.md §5e): the parameter/gradient
-	// lists are fixed at construction and built once; gradScratch holds the
-	// loss gradient for GradIntoLoss losses; inScratch holds the copied-in
-	// Predict input; workerFns are the TrainBatch worker closures, rebuilt
-	// only when the width changes, reading the batch through parIns /
-	// parTargets so no per-call closures are allocated.
-	params, grads []*tensor.Tensor
-	paramsBuilt   bool
-	gradScratch   *tensor.Tensor
-	inScratch     *tensor.Tensor
-	workerFns     []func()
-	parIns        []*tensor.Tensor
-	parTargets    []*tensor.Tensor
+	// lists are fixed at construction and built once; inScratch holds the
+	// copied-in Predict input; batchIn/batchTarget hold a minibatch
+	// gathered into one tensor (by TrainBatch, or by GatherRows for
+	// external batch loops) and lossGradBuf its loss gradient, all arena
+	// buffers handed back by Release.
+	params, grads        []*tensor.Tensor
+	paramsBuilt          bool
+	inScratch            *tensor.Tensor
+	batchIn, batchTarget buf
+	lossGradBuf          buf
 }
 
 // NewNetwork assembles a network from layers. Attach a loss/optimizer
@@ -52,22 +37,7 @@ func NewNetwork(layers ...Layer) *Network {
 }
 
 // SetLoss selects the training loss (default MSE).
-func (n *Network) SetLoss(l Loss) {
-	n.loss = l
-	n.replicas = nil  // replicas capture the loss; rebuild lazily
-	n.workerFns = nil // worker closures capture the replicas
-}
-
-// SetMaxWorkers caps the data-parallel width used by TrainBatch for this
-// network; 0 restores the default (the global parallel.Workers setting).
-// Results are bit-identical at any width, so this is purely a resource
-// knob.
-func (n *Network) SetMaxWorkers(w int) {
-	if w < 0 {
-		w = 0
-	}
-	n.maxWorkers = w
-}
+func (n *Network) SetLoss(l Loss) { n.loss = l }
 
 // SetOptimizer binds an optimizer; convenience constructors below build
 // one over the network's own parameters.
@@ -126,13 +96,32 @@ func (n *Network) ParamCount() int {
 	return c
 }
 
-// Forward runs the input through every layer.
+// Forward runs the input — one example or a batch (see the package
+// comment) — through every layer. The result is layer-owned: valid until
+// the next Forward or Release.
 func (n *Network) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := in
 	for _, l := range n.layers {
 		out = l.Forward(out)
 	}
 	return out
+}
+
+// Release hands every layer's arena-backed activation and gradient
+// buffers, and the GatherRows batch, back to tensor.Scratch, so a
+// minibatch update leaves no batch-sized memory pinned in the network.
+// The next Forward re-acquires them; Backward needs a fresh Forward after
+// Release. TrainBatch calls it at the end of every update; external
+// batch loops (the DQN update) call it themselves.
+func (n *Network) Release() {
+	for _, l := range n.layers {
+		if r, ok := l.(releaser); ok {
+			r.release()
+		}
+	}
+	n.batchIn.release()
+	n.batchTarget.release()
+	n.lossGradBuf.release()
 }
 
 // Predict is Forward over a plain []float64 vector, reshaped to shape if
@@ -188,13 +177,12 @@ func (n *Network) TrainStep(in, target *tensor.Tensor) float64 {
 	return lv
 }
 
-// lossGrad computes the loss gradient, through network-owned scratch when
-// the loss supports destination passing (all built-in losses do), so the
-// steady-state training path allocates nothing here.
+// lossGrad computes the loss gradient, through a network-owned arena
+// buffer when the loss supports destination passing (all built-in
+// losses do), so the steady-state training path allocates nothing here.
 func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
 	if gi, ok := n.loss.(GradIntoLoss); ok {
-		n.gradScratch = tensor.Reuse(n.gradScratch, pred.Shape()...)
-		return gi.GradInto(n.gradScratch, pred, target)
+		return gi.GradInto(n.lossGradBuf.get(pred.Shape()...), pred, target)
 	}
 	return n.loss.Grad(pred, target)
 }
@@ -212,13 +200,13 @@ func (n *Network) TrainBatchCtx(ctx context.Context, ins, targets []*tensor.Tens
 	return n.TrainBatch(ins, targets), nil
 }
 
-// TrainBatch accumulates gradients over a mini-batch before one optimizer
-// step, returning the mean loss. Inputs and targets must align.
-//
-// When the parallel width exceeds 1 and every layer is Replicable, the
-// examples are distributed over worker replicas; gradients and losses are
-// reduced in example order, so the updated weights are bit-identical to
-// the sequential path at any worker count.
+// TrainBatch runs one optimizer step on the mean gradient of a
+// mini-batch, returning the mean loss. Inputs and targets must align, and
+// all inputs (and all targets) share one shape. The examples are gathered
+// into one (B, ...) tensor and run as a single batch-major forward and
+// backward pass, so each Dense layer does one GEMM per pass; the weights
+// are bit-identical at any parallel width (the GEMMs shard whole output
+// rows, never a fold).
 func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if len(ins) != len(targets) {
 		auerr.Failf("nn: TrainBatch input/target count mismatch")
@@ -229,26 +217,18 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if n.opt == nil {
 		auerr.Failf("nn: TrainBatch without an optimizer; call UseAdam/UseSGD first")
 	}
-	total := 0.0
-	if w := n.batchWorkers(len(ins)); w > 1 && n.forwardBackwardParallel(ins, targets, w) {
-		// Ordered reduction: ((g₀+g₁)+g₂)+… matches the sequential
-		// accumulation exactly, element by element.
-		n.ZeroGrads()
-		grads := n.Grads()
-		for i := range ins {
-			total += n.itemLoss[i]
-			for j, g := range grads {
-				g.AddInPlace(n.itemGrads[i][j])
-			}
-		}
-	} else {
-		n.ZeroGrads()
-		for i, in := range ins {
-			pred := n.Forward(in)
-			total += n.loss.Loss(pred, targets[i])
-			n.Backward(n.lossGrad(pred, targets[i]))
-		}
+	x := gatherRows(&n.batchIn, ins)
+	t := gatherRows(&n.batchTarget, targets)
+	n.ZeroGrads()
+	pred := n.Forward(x)
+	if len(pred.Shape()) != 2 {
+		// The losses read a rank-2 prediction as (B, outputs); any other
+		// rank would be scored as one example.
+		auerr.Failf("nn: TrainBatch needs one output vector per example, got output shape %v", pred.Shape())
 	}
+	total := n.loss.Loss(pred, t)
+	n.Backward(n.lossGrad(pred, t))
+	n.Release()
 	// Average the accumulated gradients over the batch.
 	inv := 1 / float64(len(ins))
 	for _, g := range n.Grads() {
@@ -259,88 +239,44 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	return total / float64(len(ins))
 }
 
-// batchWorkers resolves the data-parallel width for a batch of b
-// examples: the global setting, capped by SetMaxWorkers and by b.
-func (n *Network) batchWorkers(b int) int {
-	w := parallel.Workers()
-	if n.maxWorkers > 0 && w > n.maxWorkers {
-		w = n.maxWorkers
+// gatherRows copies same-shaped examples, in order, into one (B, shape...)
+// tensor held in b.
+func gatherRows(b *buf, exs []*tensor.Tensor) *tensor.Tensor {
+	per := exs[0].Size()
+	x := b.getRows(true, len(exs), exs[0].Shape()...)
+	xd := x.Data()
+	for i, e := range exs {
+		if e.Size() != per {
+			auerr.Failf("nn: batch example %d has %d elements, want %d", i, e.Size(), per)
+		}
+		copy(xd[i*per:(i+1)*per], e.Data())
 	}
-	if w > b {
-		w = b
-	}
-	return w
+	return x
 }
 
-// DataParallelWidth reports the data-parallel width TrainBatch would use
-// for a batch of b examples. External training loops (the DQN replay
-// update) use it to shard their own batches consistently with this
-// network's SetMaxWorkers cap.
-func (n *Network) DataParallelWidth(b int) int { return n.batchWorkers(b) }
-
-// forwardBackwardParallel runs forward/loss/backward for every example on
-// w worker replicas, leaving per-example losses in n.itemLoss and
-// per-example gradients in n.itemGrads. It returns false (leaving no
-// state behind) when the network cannot be replicated, in which case the
-// caller falls back to the sequential path.
-//
-// Examples are assigned to replicas round-robin, but since each example's
-// gradient lands in its own slot the assignment never influences the
-// result — only the ordered reduction in TrainBatch does.
-func (n *Network) forwardBackwardParallel(ins, targets []*tensor.Tensor, w int) bool {
-	if !n.ensureReplicas(w) {
-		return false
-	}
-	if cap(n.itemLoss) < len(ins) {
-		n.itemLoss = make([]float64, len(ins))
-	}
-	n.itemLoss = n.itemLoss[:len(ins)]
-	for len(n.itemGrads) < len(ins) {
-		var gs []*tensor.Tensor
-		for _, g := range n.Grads() {
-			gs = append(gs, tensor.New(g.Shape()...))
+// GatherRows copies rows — one example's values each, in order — into
+// one (len(rows), shape...) batch tensor for this network's Forward. The
+// tensor is network-owned arena scratch: valid until Release, which
+// hands it back. Every non-nil row must hold exactly the per-example
+// shape's element count. A nil row stands for an example whose output
+// the caller will never read (the DQN's terminal next states); it
+// gathers as zeros, so no stale scratch flows through the pass.
+func (n *Network) GatherRows(rows [][]float64, shape ...int) *tensor.Tensor {
+	x := n.batchIn.getRows(true, len(rows), shape...)
+	per := x.Size() / max(len(rows), 1)
+	xd := x.Data()
+	for i, r := range rows {
+		d := xd[i*per : (i+1)*per]
+		if r == nil {
+			clear(d)
+			continue
 		}
-		n.itemGrads = append(n.itemGrads, gs)
-	}
-	// The worker closures are cached per width and read the batch through
-	// n.parIns / n.parTargets, so a steady-state TrainBatch rebuilds
-	// nothing here.
-	n.parIns, n.parTargets = ins, targets
-	if len(n.workerFns) != w {
-		n.workerFns = make([]func(), w)
-		for wk := 0; wk < w; wk++ {
-			wk := wk
-			width := w
-			rep := n.replicas[wk]
-			n.workerFns[wk] = func() {
-				for i := wk; i < len(n.parIns); i += width {
-					rep.ZeroGrads()
-					pred := rep.Forward(n.parIns[i])
-					n.itemLoss[i] = rep.loss.Loss(pred, n.parTargets[i])
-					rep.Backward(rep.lossGrad(pred, n.parTargets[i]))
-					for j, g := range rep.Grads() {
-						copy(n.itemGrads[i][j].Data(), g.Data())
-					}
-				}
-			}
+		if len(r) != per {
+			auerr.Failf("nn: batch row %d has %d values, want %d", i, len(r), per)
 		}
+		copy(d, r)
 	}
-	parallel.Run(n.workerFns...)
-	n.parIns, n.parTargets = nil, nil // do not retain the caller's batch
-	return true
-}
-
-// ensureReplicas grows the cached replica set to at least w replicas,
-// reporting whether replication is possible.
-func (n *Network) ensureReplicas(w int) bool {
-	for len(n.replicas) < w {
-		rep, ok := n.Replica()
-		if !ok {
-			return false
-		}
-		n.replicas = append(n.replicas, rep)
-	}
-	return true
+	return x
 }
 
 // CopyParamsFrom copies all parameters from src (used to sync DQN target

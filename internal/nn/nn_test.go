@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/stats"
@@ -480,4 +482,23 @@ func TestConvPanics(t *testing.T) {
 			f()
 		})
 	}
+}
+
+// TestTrainBatchRejectsNonVectorOutput: the losses read a rank-2
+// prediction as (B, outputs), so a network whose per-example output is
+// an image (here a Conv2D output, (B, C, H, W)) must be refused rather
+// than scored as one example with B times too small a loss.
+func TestTrainBatchRejectsNonVectorOutput(t *testing.T) {
+	rng := stats.NewRNG(29)
+	n := NewNetwork(NewConv2D(1, 2, 3, 3, 1, 1, rng))
+	n.UseAdam(1e-3)
+	ins := []*tensor.Tensor{tensor.New(1, 4, 4), tensor.New(1, 4, 4)}
+	targets := []*tensor.Tensor{tensor.New(2, 4, 4), tensor.New(2, 4, 4)}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "one output vector per example") {
+			t.Errorf("recovered %v, want a non-vector output failure", r)
+		}
+	}()
+	n.TrainBatch(ins, targets)
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/parallel"
@@ -117,9 +118,9 @@ func TestReplicaSharesParams(t *testing.T) {
 	}
 }
 
-// TestDropoutFallsBackSequential checks a non-replicable layer degrades
-// to the sequential path instead of failing.
-func TestDropoutFallsBackSequential(t *testing.T) {
+// TestDropoutTrainsBatched checks a network with a non-replicable layer
+// trains through the one batch-major path at any width.
+func TestDropoutTrainsBatched(t *testing.T) {
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 	rng := stats.NewRNG(3)
@@ -134,32 +135,138 @@ func TestDropoutFallsBackSequential(t *testing.T) {
 	net.UseAdam(1e-3)
 	ins, targets := makeDataset(8, 2, 4)
 	if loss := net.TrainBatch(ins, targets); loss <= 0 {
-		t.Errorf("fallback training loss = %v", loss)
+		t.Errorf("training loss = %v", loss)
 	}
 }
 
-// TestSetMaxWorkersCap checks the per-network cap keeps results identical
-// while bounding the replica set.
-func TestSetMaxWorkersCap(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
-	ins, targets := makeDataset(12, 3, 6)
-	build := func(rng *stats.RNG) *Network { return NewDNN(6, []int{16, 8}, 3, rng) }
-
-	capped := build(stats.NewRNG(42))
-	capped.SetMaxWorkers(2)
-	capped.UseAdam(1e-3)
-	capped.TrainBatch(ins, targets)
-	if len(capped.replicas) > 2 {
-		t.Errorf("cap 2 built %d replicas", len(capped.replicas))
+// refDNNGrads is the per-example reference fold for a NewDNN network
+// (Dense layers with ReLU between them) under MSE: every example runs
+// its own forward and backward pass with scalar math.FMA folds, and the
+// parameter gradients are then folded over the examples in ascending
+// order — dL/dW[o][i] = Σ_b FMA(g_b[o], x_b[i]) from zero, added to the
+// zeroed accumulator; dL/db chained through it. It fills grads (aligned
+// with params: W₀, b₀, W₁, b₁, …) and returns the summed loss.
+func refDNNGrads(params, grads []*tensor.Tensor, ins, targets []*tensor.Tensor) float64 {
+	layers := len(params) / 2
+	xs := make([][][]float64, layers) // xs[l][b]: input of dense l
+	gs := make([][][]float64, layers) // gs[l][b]: grad at output of dense l
+	total := 0.0
+	for b := range ins {
+		h := ins[b].Data()
+		zs := make([][]float64, layers)
+		for l := 0; l < layers; l++ {
+			w, bias := params[2*l], params[2*l+1].Data()
+			out, in := w.Shape()[0], w.Shape()[1]
+			xs[l] = append(xs[l], h)
+			z := make([]float64, out)
+			for o := range z {
+				s := 0.0
+				for i := 0; i < in; i++ {
+					s = math.FMA(h[i], w.Data()[o*in+i], s)
+				}
+				z[o] = s + bias[o]
+			}
+			zs[l] = z
+			if l < layers-1 {
+				h = make([]float64, out)
+				for o, v := range z {
+					if v > 0 {
+						h[o] = v
+					}
+				}
+			}
+		}
+		pred, tg := zs[layers-1], targets[b].Data()
+		n := float64(len(pred))
+		sum := 0.0
+		g := make([]float64, len(pred))
+		for o, p := range pred {
+			d := p - tg[o]
+			sum += d * d
+			g[o] = 2 * (p - tg[o]) / n
+		}
+		total += sum / n
+		for l := layers - 1; l >= 0; l-- {
+			gs[l] = append(gs[l], g)
+			if l == 0 {
+				break
+			}
+			w := params[2*l]
+			out, in := w.Shape()[0], w.Shape()[1]
+			gi := make([]float64, in)
+			for i := range gi {
+				s := 0.0
+				for o := 0; o < out; o++ {
+					s = math.FMA(g[o], w.Data()[o*in+i], s)
+				}
+				if zs[l-1][i] > 0 {
+					gi[i] = s
+				}
+			}
+			g = gi
+		}
 	}
+	for l := 0; l < layers; l++ {
+		gw, gb := grads[2*l].Data(), grads[2*l+1].Data()
+		out, in := grads[2*l].Shape()[0], grads[2*l].Shape()[1]
+		for o := 0; o < out; o++ {
+			for i := 0; i < in; i++ {
+				s := 0.0
+				for b := range ins {
+					s = math.FMA(gs[l][b][o], xs[l][b][i], s)
+				}
+				gw[o*in+i] += s
+			}
+			for b := range ins {
+				gb[o] += gs[l][b][o]
+			}
+		}
+	}
+	return total
+}
 
-	free := build(stats.NewRNG(42))
-	free.UseAdam(1e-3)
-	free.TrainBatch(ins, targets)
-	a, _ := capped.MarshalParams()
-	b, _ := free.MarshalParams()
-	if !bytes.Equal(a, b) {
-		t.Error("capped and uncapped training disagree")
+// TestTrainBatchMatchesPerExampleReference checks the batch-major
+// TrainBatch against refDNNGrads, bit for bit, over full and ragged
+// minibatches of a DNN whose products take both the naive and the
+// packed, sharded GEMM paths, at widths {1, 2, 8}.
+func TestTrainBatchMatchesPerExampleReference(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	ins, targets := makeDataset(45, 5, 24)
+	build := func() *Network { return NewDNN(24, []int{64, 48}, 5, stats.NewRNG(42)) }
+	ref := build()
+	refOpt := NewAdam(ref.Params(), 1e-3)
+	var refLoss []float64
+	for epoch := 0; epoch < 2; epoch++ {
+		for start := 0; start < len(ins); start += 16 {
+			end := min(start+16, len(ins))
+			ref.ZeroGrads()
+			total := refDNNGrads(ref.Params(), ref.Grads(), ins[start:end], targets[start:end])
+			for _, g := range ref.Grads() {
+				g.ScaleInPlace(1 / float64(end-start))
+			}
+			ClipGradients(ref.Grads(), 10)
+			refOpt.Step(ref.Grads())
+			refLoss = append(refLoss, total/float64(end-start))
+		}
+	}
+	want, _ := ref.MarshalParams()
+	for _, w := range []int{1, 2, 8} {
+		parallel.SetWorkers(w)
+		net := build()
+		net.UseAdam(1e-3)
+		step := 0
+		for epoch := 0; epoch < 2; epoch++ {
+			for start := 0; start < len(ins); start += 16 {
+				end := min(start+16, len(ins))
+				if loss := net.TrainBatch(ins[start:end], targets[start:end]); loss != refLoss[step] {
+					t.Fatalf("workers=%d step %d: loss %v, reference %v", w, step, loss, refLoss[step])
+				}
+				step++
+			}
+		}
+		if got, _ := net.MarshalParams(); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: weights differ from the per-example reference fold", w)
+		}
 	}
 }

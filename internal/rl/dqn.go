@@ -6,7 +6,6 @@ import (
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/obs"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -98,21 +97,22 @@ type Agent struct {
 	// mode never allocates optimizer state.
 	opt nn.Optimizer
 
-	// Data-parallel scratch for the replay update, reused across Observe
-	// calls: per-worker replicas of both networks plus per-transition
-	// gradient/loss buffers (reduced in transition order, so updates are
-	// bit-identical to the sequential loop at any worker count).
-	onlineReps, targetReps []*nn.Network
-	itemGrads              [][]*tensor.Tensor
-	itemLoss               []float64
+	// Replay-update scratch, reused across Observe calls so the steady
+	// state allocates nothing: the sampled minibatch, the per-example
+	// state shape, the state and next-state rows handed to
+	// nn.Network.GatherRows (the gathered batches are network-owned and
+	// handed back by Release), the bootstrap values, and the
+	// (B, actions) TD target and loss gradient.
+	batch               []Transition
+	stateShape          []int
+	stateRows, nextRows [][]float64
+	bootstrap           []float64
+	tdTarget, tdGrad    *tensor.Tensor
 
 	// stateView is the recycled tensor header stateTensor wraps around
-	// the caller's state slice on the sequential API paths (Act, QValues,
-	// the sequential replay loop), so the Act hot path allocates nothing.
-	// workerViews are the per-worker equivalents for the parallel replay
-	// update, aligned with onlineReps.
-	stateView   *tensor.Tensor
-	workerViews []*tensor.Tensor
+	// the caller's state slice (Act, QValues), so the Act hot path
+	// allocates nothing.
+	stateView *tensor.Tensor
 
 	// Telemetry instruments, resolved at construction (nil while
 	// telemetry is disabled; every use is a nil-checked no-op).
@@ -166,29 +166,20 @@ func (a *Agent) Epsilon() float64 {
 // Steps reports how many transitions the agent has observed.
 func (a *Agent) Steps() int { return a.steps }
 
-// stateTensor wraps a caller's state slice in the given recycled tensor
+// stateTensor wraps a caller's state slice in the recycled a.stateView
 // header (allocated on first use, nothing thereafter) and returns it.
-// Concurrent callers must pass distinct views: the sequential agent API
-// uses a.stateView, each replay worker its own workerViews slot.
-func (a *Agent) stateTensor(view *tensor.Tensor, s []float64) *tensor.Tensor {
+func (a *Agent) stateTensor(s []float64) *tensor.Tensor {
 	if len(a.cfg.StateShape) > 0 {
-		return tensor.ViewOf(view, s, a.cfg.StateShape...)
-	}
-	return tensor.ViewOf(view, s, len(s))
-}
-
-// seqView returns the sequential-path view header, allocating it once.
-func (a *Agent) seqView() *tensor.Tensor {
-	if a.stateView == nil {
-		a.stateView = &tensor.Tensor{}
+		a.stateView = tensor.ViewOf(a.stateView, s, a.cfg.StateShape...)
+	} else {
+		a.stateView = tensor.ViewOf(a.stateView, s, len(s))
 	}
 	return a.stateView
 }
 
 // QValues returns the online network's action values for state.
 func (a *Agent) QValues(state []float64) []float64 {
-	a.stateView = a.stateTensor(a.stateView, state)
-	out := a.online.Forward(a.stateView)
+	out := a.online.Forward(a.stateTensor(state))
 	return append([]float64(nil), out.Data()...)
 }
 
@@ -200,8 +191,7 @@ func (a *Agent) Act(state []float64, greedy bool) int {
 	if !greedy && a.rng.Float64() < a.Epsilon() {
 		return a.rng.Intn(a.actions)
 	}
-	a.stateView = a.stateTensor(a.stateView, state)
-	return stats.ArgMax(a.online.Forward(a.stateView).Data())
+	return stats.ArgMax(a.online.Forward(a.stateTensor(state)).Data())
 }
 
 // ObserveCtx is the context-aware Observe. Cancellation is checked at
@@ -220,41 +210,47 @@ func (a *Agent) ObserveCtx(ctx context.Context, t Transition) (float64, error) {
 // Observe records a transition and, past warmup, performs a replayed
 // Q-learning update: target = r (terminal) or r + γ·max_a' Q_target(s',a').
 // It returns the training loss, or 0 when no update ran.
+//
+// The minibatch runs batch-major: its states and next states are
+// gathered into two (B, ...) tensors, and the update is one target
+// forward (plus one online forward of the next states under DoubleDQN),
+// one online forward and one backward pass, each one GEMM per Dense
+// layer. Each transition's TD target and loss gradient are those of
+// running it alone, and the weight gradients fold the transitions in
+// sampled order, so the update is bit-identical at any parallel width.
 func (a *Agent) Observe(t Transition) float64 {
 	a.buffer.Add(t)
 	a.steps++
 	if a.buffer.Len() < a.cfg.WarmupSteps || a.steps%a.cfg.LearnEvery != 0 {
 		return 0
 	}
-	batch := a.buffer.Sample(a.cfg.BatchSize)
+	a.batch = a.buffer.Sample(a.batch, a.cfg.BatchSize)
 	if a.online.Params() == nil {
 		return 0
 	}
 	a.ensureOptimizer()
-
-	totalLoss := 0.0
-	if w := a.online.DataParallelWidth(len(batch)); w > 1 && a.observeParallel(batch, w) {
-		// Ordered reduction over transitions: bit-identical to the
-		// sequential accumulation below at any worker count.
-		a.online.ZeroGrads()
-		grads := a.online.Grads()
-		for i := range batch {
-			totalLoss += a.itemLoss[i]
-			for j, g := range grads {
-				g.AddInPlace(a.itemGrads[i][j])
-			}
-		}
-	} else {
-		a.online.ZeroGrads()
-		for _, tr := range batch {
-			pred, targetVec := a.tdPair(a.seqView(), a.online, a.target, tr)
-			totalLoss += dqnLoss.Loss(pred, targetVec)
-			a.online.Backward(dqnLoss.Grad(pred, targetVec))
-		}
+	b := len(a.batch)
+	states, nexts := a.gather()
+	a.bootstrapValues(nexts)
+	pred := a.online.Forward(states)
+	acts := pred.Shape()[len(pred.Shape())-1]
+	a.tdTarget = tensor.Reuse(a.tdTarget, b, acts)
+	a.tdGrad = tensor.Reuse(a.tdGrad, b, acts)
+	tgt := a.tdTarget.Data()
+	copy(tgt, pred.Data())
+	// Only the taken action's Q-value receives gradient.
+	for i, tr := range a.batch {
+		tgt[i*acts+tr.Action] = a.bootstrap[i]
 	}
+	totalLoss := dqnLoss.Loss(pred, a.tdTarget)
+	a.online.ZeroGrads()
+	a.online.Backward(dqnLoss.GradInto(a.tdGrad, pred, a.tdTarget))
+	a.online.Release()
+	a.target.Release()
+
 	grads := a.online.Grads()
 	for _, g := range grads {
-		g.ScaleInPlace(1 / float64(len(batch)))
+		g.ScaleInPlace(1 / float64(b))
 	}
 	nn.ClipGradients(grads, 10)
 	a.opt.Step(grads)
@@ -262,11 +258,65 @@ func (a *Agent) Observe(t Transition) float64 {
 	if a.trained%a.cfg.TargetSyncEvery == 0 {
 		a.target.CopyParamsFrom(a.online)
 	}
-	loss := totalLoss / float64(len(batch))
+	loss := totalLoss / float64(b)
 	a.obsSteps.Inc()
 	a.obsLoss.Set(loss)
 	a.obsEps.Set(a.Epsilon())
 	return loss
+}
+
+// gather collects the minibatch's states into an online-network batch
+// and its next states into a target-network batch (nn.GatherRows; both
+// are handed back by the networks' Release). A terminal transition's
+// next state is never read and gathers as zeros; every other state and
+// next state must have the state width.
+func (a *Agent) gather() (states, nexts *tensor.Tensor) {
+	f := len(a.batch[0].State)
+	if len(a.stateShape) == 0 {
+		if len(a.cfg.StateShape) > 0 {
+			a.stateShape = append(a.stateShape, a.cfg.StateShape...)
+		} else {
+			a.stateShape = append(a.stateShape, f)
+		}
+	}
+	a.stateRows, a.nextRows = a.stateRows[:0], a.nextRows[:0]
+	for _, tr := range a.batch {
+		if len(tr.State) != f {
+			auerr.Failf("rl: replayed state has %d values, want %d", len(tr.State), f)
+		}
+		next := tr.NextState
+		if tr.Terminal {
+			next = nil
+		} else if len(next) != f {
+			auerr.Failf("rl: replayed next state has %d values, want %d", len(next), f)
+		}
+		a.stateRows = append(a.stateRows, tr.State)
+		a.nextRows = append(a.nextRows, next)
+	}
+	return a.online.GatherRows(a.stateRows, a.stateShape...),
+		a.target.GatherRows(a.nextRows, a.stateShape...)
+}
+
+// bootstrapValues fills a.bootstrap with each transition's TD target y:
+// r for terminal transitions, else r + γ·Q_target(s', a*), where a* is
+// the target network's argmax — or, under DoubleDQN, the online
+// network's, scored by the target network.
+func (a *Agent) bootstrapValues(nexts *tensor.Tensor) {
+	q := a.target.Forward(nexts).Data()
+	choose := q
+	if a.cfg.DoubleDQN {
+		choose = a.online.Forward(nexts).Data()
+	}
+	acts := len(q) / len(a.batch)
+	a.bootstrap = a.bootstrap[:0]
+	for i, tr := range a.batch {
+		y := tr.Reward
+		if !tr.Terminal {
+			best := q[i*acts+stats.ArgMax(choose[i*acts:(i+1)*acts])]
+			y += a.cfg.Gamma * best
+		}
+		a.bootstrap = append(a.bootstrap, y)
+	}
 }
 
 func (a *Agent) ensureOptimizer() {
@@ -275,84 +325,5 @@ func (a *Agent) ensureOptimizer() {
 	}
 }
 
-// dqnLoss is the TD-error loss shared by the sequential and parallel
-// update paths.
+// dqnLoss is the TD-error loss of the replay update.
 var dqnLoss = nn.Huber{Delta: 1}
-
-// tdPair computes one transition's (prediction, bootstrap target) pair on
-// the given online/target networks. Bootstraps come from the target
-// network; under DoubleDQN the online network picks the action and the
-// target network scores it. Only the taken action's Q-value receives
-// gradient.
-func (a *Agent) tdPair(view *tensor.Tensor, online, target *nn.Network, tr Transition) (pred, targetVec *tensor.Tensor) {
-	y := tr.Reward
-	if !tr.Terminal {
-		q := target.Forward(a.stateTensor(view, tr.NextState))
-		var best float64
-		if a.cfg.DoubleDQN {
-			next := online.Forward(a.stateTensor(view, tr.NextState))
-			best = q.Data()[stats.ArgMax(next.Data())]
-		} else {
-			best = q.Data()[stats.ArgMax(q.Data())]
-		}
-		y += a.cfg.Gamma * best
-	}
-	pred = online.Forward(a.stateTensor(view, tr.State))
-	targetVec = pred.Clone()
-	targetVec.Data()[tr.Action] = y
-	return pred, targetVec
-}
-
-// observeParallel computes per-transition losses and gradients on worker
-// replicas, filling a.itemLoss / a.itemGrads. It reports false when the
-// networks cannot be replicated (the caller then runs sequentially).
-// Transitions are assigned to replicas round-robin; since every
-// transition's gradient lands in its own slot, scheduling never affects
-// the reduced result.
-func (a *Agent) observeParallel(batch []Transition, w int) bool {
-	for len(a.onlineReps) < w {
-		oRep, ok := a.online.Replica()
-		if !ok {
-			return false
-		}
-		tRep, ok := a.target.Replica()
-		if !ok {
-			return false
-		}
-		a.onlineReps = append(a.onlineReps, oRep)
-		a.targetReps = append(a.targetReps, tRep)
-	}
-	for len(a.workerViews) < w {
-		a.workerViews = append(a.workerViews, &tensor.Tensor{})
-	}
-	if cap(a.itemLoss) < len(batch) {
-		a.itemLoss = make([]float64, len(batch))
-	}
-	a.itemLoss = a.itemLoss[:len(batch)]
-	for len(a.itemGrads) < len(batch) {
-		var gs []*tensor.Tensor
-		for _, g := range a.online.Grads() {
-			gs = append(gs, tensor.New(g.Shape()...))
-		}
-		a.itemGrads = append(a.itemGrads, gs)
-	}
-	fns := make([]func(), w)
-	for wk := 0; wk < w; wk++ {
-		wk := wk
-		oRep, tRep := a.onlineReps[wk], a.targetReps[wk]
-		view := a.workerViews[wk]
-		fns[wk] = func() {
-			for i := wk; i < len(batch); i += w {
-				oRep.ZeroGrads()
-				pred, targetVec := a.tdPair(view, oRep, tRep, batch[i])
-				a.itemLoss[i] = dqnLoss.Loss(pred, targetVec)
-				oRep.Backward(dqnLoss.Grad(pred, targetVec))
-				for j, g := range oRep.Grads() {
-					copy(a.itemGrads[i][j].Data(), g.Data())
-				}
-			}
-		}
-	}
-	parallel.Run(fns...)
-	return true
-}

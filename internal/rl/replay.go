@@ -57,17 +57,18 @@ func (b *ReplayBuffer) Len() int { return len(b.buf) }
 // Cap reports the buffer capacity.
 func (b *ReplayBuffer) Cap() int { return cap(b.buf) }
 
-// Sample draws n transitions uniformly with replacement. It panics if
-// the buffer is empty.
-func (b *ReplayBuffer) Sample(n int) []Transition {
+// Sample draws n transitions uniformly with replacement into dst
+// (reusing its capacity; nil allocates) and returns the filled slice.
+// It panics if the buffer is empty.
+func (b *ReplayBuffer) Sample(dst []Transition, n int) []Transition {
 	if len(b.buf) == 0 {
 		auerr.Failf("rl: sampling from empty replay buffer")
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[b.rng.Intn(len(b.buf))]
+	dst = dst[:0]
+	for i := 0; i < n; i++ {
+		dst = append(dst, b.buf[b.rng.Intn(len(b.buf))])
 	}
-	return out
+	return dst
 }
 
 // TraceBytes estimates the in-memory footprint of the stored experience:

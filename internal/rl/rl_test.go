@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +24,7 @@ func TestReplayBufferBasics(t *testing.T) {
 	// Oldest entries (0, 1) must have been evicted.
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		for _, tr := range b.Sample(1) {
+		for _, tr := range b.Sample(nil, 1) {
 			seen[tr.Action] = true
 		}
 	}
@@ -50,7 +52,7 @@ func TestReplaySampleEmptyPanics(t *testing.T) {
 			t.Error("sampling empty buffer did not panic")
 		}
 	}()
-	b.Sample(1)
+	b.Sample(nil, 1)
 }
 
 func TestReplayBufferNeverExceedsCap(t *testing.T) {
@@ -264,5 +266,32 @@ func TestDoubleDQNSolvesChain(t *testing.T) {
 		if got := a.Act(encode(p), true); got != 1 {
 			t.Errorf("double-DQN greedy policy at pos %d = %d, want 1", p, got)
 		}
+	}
+}
+
+// TestObserveRejectsMismatchedNextState: a non-terminal transition's
+// next state is bootstrapped through the target network, so one whose
+// width differs from the state's must fail the update instead of being
+// truncated or zero-padded into a wrong TD target. A terminal
+// transition's next state is never read, so a missing one still trains.
+func TestObserveRejectsMismatchedNextState(t *testing.T) {
+	newAgent := func() *Agent {
+		rng := stats.NewRNG(11)
+		return NewAgent(nn.NewDNN(2, []int{3}, 2, rng.Split()), nn.NewDNN(2, []int{3}, 2, rng.Split()), 2,
+			Config{BatchSize: 1, WarmupSteps: 1, ReplayCapacity: 4}, rng.Split())
+	}
+	if loss := newAgent().Observe(Transition{State: []float64{1, 2}, Reward: 1, Terminal: true}); loss == 0 {
+		t.Error("terminal transition without a next state did not train")
+	}
+	for _, next := range [][]float64{{1}, {1, 2, 3}, nil} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "next state has") {
+					t.Errorf("next state %v: recovered %v, want a next-state width failure", next, r)
+				}
+			}()
+			newAgent().Observe(Transition{State: []float64{1, 2}, NextState: next, Reward: 1})
+		}()
 	}
 }

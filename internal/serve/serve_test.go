@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -488,6 +490,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if _, err := ReadSnapshot(bytes.NewReader(mut)); !errors.Is(err, auerr.ErrCorruptStore) {
 			t.Errorf("%s: %v, want ErrCorruptStore", name, err)
 		}
+	}
+}
+
+// TestSnapshotWithWorkersFieldDecodes checks that an AUSN image whose
+// spec still carries the removed per-model "workers" width decodes and
+// installs: the field is ignored, everything else is read as before.
+func TestSnapshotWithWorkersFieldDecodes(t *testing.T) {
+	spec, data, _ := trainModel(t, 32)
+	specJSON, err := json.Marshal(toWireSpec(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON = append(specJSON[:len(specJSON)-1], []byte(`,"workers":4}`)...)
+	var img bytes.Buffer
+	img.WriteString(snapMagic)
+	blob := func(b []byte) {
+		binary.Write(&img, binary.LittleEndian, uint32(len(b)))
+		img.Write(b)
+	}
+	binary.Write(&img, binary.LittleEndian, [2]uint32{snapVersion, 1})
+	blob([]byte("m"))
+	blob(specJSON)
+	blob(data)
+	models, err := ReadSnapshot(bytes.NewReader(img.Bytes()))
+	if err != nil {
+		t.Fatalf("snapshot with %s: %v", specJSON, err)
+	}
+	if got := models[0].Spec; got.Algo != spec.Algo || len(got.Hidden) != len(spec.Hidden) || !bytes.Equal(models[0].Data, data) {
+		t.Fatalf("decoded %+v, want spec %+v", got, spec)
+	}
+	srv := NewServer(Config{})
+	defer srv.Close()
+	if n, err := srv.LoadSnapshot(bytes.NewReader(img.Bytes())); err != nil || n != 1 {
+		t.Fatalf("LoadSnapshot = %d, %v", n, err)
 	}
 }
 

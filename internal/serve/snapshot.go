@@ -40,7 +40,9 @@ type SnapshotModel struct {
 
 // wireSpec is the JSON-serializable subset of core.ModelSpec a serving
 // engine needs (Builder callbacks cannot cross a process boundary; the
-// training-only knobs are irrelevant in TS mode).
+// training-only knobs are irrelevant in TS mode). Decoding ignores
+// fields it does not know, so snapshots written while the spec still
+// carried a per-model "workers" width load unchanged.
 type wireSpec struct {
 	Type             core.ModelType `json:"type"`
 	Algo             core.Algorithm `json:"algo"`
@@ -48,14 +50,12 @@ type wireSpec struct {
 	Actions          int            `json:"actions,omitempty"`
 	InputShape       []int          `json:"input_shape,omitempty"`
 	OutputActivation string         `json:"output_activation,omitempty"`
-	Workers          int            `json:"workers,omitempty"`
 }
 
 func toWireSpec(s core.ModelSpec) wireSpec {
 	return wireSpec{
 		Type: s.Type, Algo: s.Algo, Hidden: s.Hidden, Actions: s.Actions,
 		InputShape: s.InputShape, OutputActivation: s.OutputActivation,
-		Workers: s.Workers,
 	}
 }
 
@@ -63,7 +63,7 @@ func (w wireSpec) modelSpec(name string) core.ModelSpec {
 	return core.ModelSpec{
 		Name: name, Type: w.Type, Algo: w.Algo, Hidden: w.Hidden,
 		Actions: w.Actions, InputShape: w.InputShape,
-		OutputActivation: w.OutputActivation, Workers: w.Workers,
+		OutputActivation: w.OutputActivation,
 	}
 }
 

@@ -92,3 +92,18 @@ func (a *Arena) Put(p *[]float64) {
 	}
 	a.classes[b-arenaMinBits].Put(p)
 }
+
+// Resize returns a buffer of length n, reusing p when n falls in p's size
+// class and otherwise returning p to the arena (Put) and taking a fresh
+// buffer (Get). p may be nil. It is the recycling step for a buffer held
+// across calls whose size varies: a layer output that is one example
+// wide on one call and one minibatch wide on the next keeps no
+// batch-sized memory once it shrinks.
+func (a *Arena) Resize(p *[]float64, n int) *[]float64 {
+	if p != nil && cap(*p) >= n && classFor(n) == classFor(cap(*p)) {
+		*p = (*p)[:n]
+		return p
+	}
+	a.Put(p)
+	return a.Get(n)
+}

@@ -11,20 +11,24 @@
 //     pool; each shard gathers its own nr-wide B-panels with packConvCols
 //     and aims gebpTile at its slice of the output feature map.
 //
-//   - gradW: gradWProd = g × colsᵀ. Weight-column panels are sharded;
-//     each shard gathers colsᵀ-panels with packConvColsT (same gather,
-//     transposed write) and multiplies against the once-packed g.
+//   - gradW: gradWProd = g × colsᵀ, computed as its transpose
+//     cols × gᵀ. Backward copies the input once into zero-bordered
+//     planes (padInput), so each tap is a plain strided row: the strided
+//     register tile (kernelImpl.tileStrided) broadcasts taps straight
+//     from those rows against g's transpose, one output row per call.
 //
-//   - gradIn: cols-gradient stripes per input channel, gebpTile into a
-//     per-worker stripe, then a fused col2im-accumulate scatter
-//     (scatterConvChannel) with run-clipped bounds instead of per-element
+//   - gradIn: the cols-gradient stripe Wᵀ × g, four taps at a time, with
+//     the same strided tile reading weight columns and g rows in place,
+//     then a col2im-accumulate per tap (scatterConvTap) with
+//     run-clipped bounds and a vector add instead of per-element
 //     branches.
 //
 // Determinism contract: every output element's fold is unchanged from
 // the naive reference compositions — forward folds ascending-k (k =
 // channel-major tap index) exactly like Im2Col+MatMulNaiveInto, gradW
-// folds ascending output position exactly like MatMulABTInto, and gradIn
-// folds ascending output channel then scatters in Col2ImInto's exact
+// folds ascending output position exactly like MatMulABTInto (a fold
+// stored and reloaded between tiles is the same fold), and gradIn folds
+// ascending output channel then scatters in Col2ImInto's exact
 // ch→ky→kx→oy→ox order. Sharding only chooses which tiles compute when.
 // Padding gathers as explicit zeros (never skipped: 0×NaN must stay
 // NaN), and pack-buffer pad lanes only feed accumulators that clipped
@@ -323,125 +327,73 @@ func packConvCols(packed, in []float64, g *ConvGeom, nr, pLo, pHi int) {
 	}
 }
 
-// packConvColsT gathers colsᵀ panels [pLo, pHi) for the gradW product
-// gradWProd = g_out × colsᵀ: panel lane jj of panel p holds weight
-// column (tap) p·nr+jj, so packed[(p-pLo)·N·nr + pos·nr + jj] =
-// cols[p·nr+jj][pos]. Lanes whose tap index reaches K are zeroed (the
-// ragged last panel); they only feed clipped accumulators. packed must
-// hold (pHi-pLo)·N·nr elements.
-func packConvColsT(packed, in []float64, g *ConvGeom, nr, pLo, pHi int) {
-	if nr > maxPanelNR {
-		panic(fmt.Sprintf("tensor: packConvColsT panel width %d exceeds %d", nr, maxPanelNR))
-	}
-	k, n := g.K(), g.Cols()
-	taps := g.KH * g.KW
-	// Per-lane tap coordinates, hoisted out of the position loops. Dead
-	// lanes (tap index ≥ K) get iyBase = InH so the always-invalid iy
-	// branch zero-fills their whole row; their other entries are never
-	// read. Iterating oy outermost keeps every store inside one
-	// OutW·nr-float window of packed, so the strided lane writes stay
-	// L1-resident instead of sweeping the whole N·nr panel per lane.
-	var iyBase, chOff, kxOff, loA, hiA [maxPanelNR]int
-	for p := pLo; p < pHi; p++ {
-		for jj := 0; jj < nr; jj++ {
-			t := p*nr + jj
-			if t >= k {
-				iyBase[jj] = g.InH
-				continue
-			}
-			ch := t / taps
-			ky := (t / g.KW) % g.KH
-			kx := t % g.KW
-			iyBase[jj] = ky - g.Pad
-			chOff[jj] = ch * g.InH * g.InW
-			kxOff[jj] = kx - g.Pad
-			loA[jj], hiA[jj] = g.oxClip(kx)
-		}
-		base0 := (p - pLo) * n * nr
-		for oy := 0; oy < g.OutH; oy++ {
-			rowBase := base0 + oy*g.OutW*nr
-			for jj := 0; jj < nr; jj++ {
-				d := packed[rowBase+jj:]
-				iy := oy*g.Stride + iyBase[jj]
-				if iy < 0 || iy >= g.InH {
-					for ox := 0; ox < g.OutW; ox++ {
-						d[ox*nr] = 0
-					}
-					continue
-				}
-				lo, hi := loA[jj], hiA[jj]
-				for ox := 0; ox < lo; ox++ {
-					d[ox*nr] = 0
-				}
-				si := chOff[jj] + iy*g.InW + lo*g.Stride + kxOff[jj]
-				di := lo * nr
-				if g.Stride == 1 {
-					s := in[si:]
-					for ox := lo; ox < hi; ox++ {
-						d[di] = s[ox-lo]
-						di += nr
-					}
-				} else {
-					for ox := lo; ox < hi; ox++ {
-						d[di] = in[si]
-						di += nr
-						si += g.Stride
-					}
-				}
-				for ox := hi; ox < g.OutW; ox++ {
-					d[ox*nr] = 0
-				}
-			}
+// padDims returns the extent of one zero-bordered input plane:
+// (InH+2·Pad) × (InW+2·Pad). Every tap of every output position lands
+// inside it, at row oy·Stride+ky and column ox·Stride+kx.
+func (g *ConvGeom) padDims() (ph, pw int) { return g.InH + 2*g.Pad, g.InW + 2*g.Pad }
+
+// padInput copies the (InC, InH, InW) input into InC zero-bordered
+// planes of padDims (padded must hold InC·ph·pw elements), so the
+// backward gather reads every tap as a plain strided row with no
+// clipping: padding becomes stored zeros, which multiply exactly like
+// the explicit zeros the reference gathers (0×NaN stays NaN).
+func padInput(padded, in []float64, g *ConvGeom) {
+	ph, pw := g.padDims()
+	clear(padded)
+	for ch := 0; ch < g.InC; ch++ {
+		for iy := 0; iy < g.InH; iy++ {
+			src := in[(ch*g.InH+iy)*g.InW : (ch*g.InH+iy+1)*g.InW]
+			copy(padded[(ch*ph+iy+g.Pad)*pw+g.Pad:], src)
 		}
 	}
 }
 
-// scatterConvChannel is the fused col2im-accumulate for one input
-// channel: it zeroes the channel's (InH, InW) plane of gradIn and
-// accumulates the channel's (KH·KW × N) cols-gradient stripe in
-// Col2ImInto's exact order — ky→kx ascending tap, then oy→ox ascending
-// position, one += per in-bounds element — with the padding skips
-// precomputed as run clips instead of per-element branches.
-func scatterConvChannel(gradIn, stripe []float64, g *ConvGeom, ch int) {
-	n := g.Cols()
-	plane := gradIn[ch*g.InH*g.InW : (ch+1)*g.InH*g.InW]
-	for i := range plane {
-		plane[i] = 0
+// scatterConvTap is the fused col2im-accumulate for one kernel tap
+// (ky, kx) of one input channel: it adds the tap's cols-gradient row
+// src (N values) onto the channel's (InH, InW) plane of gradIn in
+// Col2ImInto's order — oy→ox ascending position, one += per in-bounds
+// element — with the padding skips precomputed as row and column clips
+// instead of per-element branches. Called for a channel's taps in
+// ascending order on a zeroed plane, it reproduces Col2ImInto bit for
+// bit. Unit stride adds whole clipped blocks with the kernel's addRows.
+func (ck *ConvKernel) scatterConvTap(plane, src []float64, ky, kx int) {
+	g := &ck.g
+	oxLo, oxHi := g.oxClip(kx)
+	oyLo, oyHi := g.oyClip(ky)
+	if oxLo >= oxHi || oyLo >= oyHi {
+		return
 	}
-	t := 0
-	for ky := 0; ky < g.KH; ky++ {
-		for kx := 0; kx < g.KW; kx++ {
-			src := stripe[t*n : (t+1)*n]
-			oxLo, oxHi := g.oxClip(kx)
-			for oy := 0; oy < g.OutH; oy++ {
-				iy := oy*g.Stride + ky - g.Pad
-				if iy < 0 || iy >= g.InH {
-					continue
-				}
-				row := plane[iy*g.InW : (iy+1)*g.InW]
-				srow := src[oy*g.OutW:]
-				ix := oxLo*g.Stride + kx - g.Pad
-				if g.Stride == 1 {
-					d := row[ix : ix+(oxHi-oxLo)]
-					s := srow[oxLo:oxHi]
-					for i := range d {
-						d[i] += s[i]
-					}
-				} else {
-					for ox := oxLo; ox < oxHi; ox++ {
-						row[ix] += srow[ox]
-						ix += g.Stride
-					}
-				}
-			}
-			t++
+	ix := oxLo*g.Stride + kx - g.Pad
+	iy := oyLo*g.Stride + ky - g.Pad
+	if g.Stride == 1 {
+		ck.impl.addRows(plane[iy*g.InW+ix:], src[oyLo*g.OutW+oxLo:], oxHi-oxLo, oyHi-oyLo, g.InW, g.OutW)
+		return
+	}
+	for oy := oyLo; oy < oyHi; oy, iy = oy+1, iy+g.Stride {
+		row := plane[iy*g.InW : (iy+1)*g.InW]
+		srow := src[oy*g.OutW:]
+		for ox, i := oxLo, ix; ox < oxHi; ox, i = ox+1, i+g.Stride {
+			row[i] += srow[ox]
 		}
 	}
 }
 
-// maxPanelNR bounds the panel width any dispatched kernel may use, so
-// per-lane scratch in the packers can live in fixed stack arrays.
-const maxPanelNR = 16
+// oyClip is oxClip for rows: the output-y range whose input row
+// oy·Stride + ky - Pad falls inside [0, InH).
+func (g *ConvGeom) oyClip(ky int) (oyLo, oyHi int) {
+	if d := g.Pad - ky; d > 0 {
+		oyLo = (d + g.Stride - 1) / g.Stride
+	}
+	if e := g.InH - 1 - ky + g.Pad; e >= 0 {
+		if oyHi = e/g.Stride + 1; oyHi > g.OutH {
+			oyHi = g.OutH
+		}
+	}
+	if oyLo > oyHi {
+		oyLo = oyHi
+	}
+	return oyLo, oyHi
+}
 
 // convPackBlockFloats is the target pack-buffer size, in floats, for one
 // forward gather block (~16 KiB). Panels are gathered and multiplied in
@@ -495,17 +447,17 @@ type ConvKernel struct {
 	// Fixed sharding geometry, derived from g at construction.
 	fwdPanels, fwdGrain int
 	fwdBlock            int // panels per cache-resident gather block
-	wPanels, wGrain     int
+	tapBlocks, wGrain   int // gradW: microM-tap row blocks
 	chGrain             int
 
 	// Per-call operands, set by Forward/Backward before dispatching the
 	// persistent shard closures, cleared after.
 	in, w, out    []float64
+	padded        []float64 // backward: zero-bordered input planes
 	gout          []float64
+	goutT         []float64 // backward: g_outᵀ in nr-wide channel panels
 	gradW, gradIn []float64
 	packedW       []float64 // forward: W's full row blocks
-	packedG       []float64 // backward gradIn: g_out column panels
-	packedGA      []float64 // backward gradW: g_out full row blocks
 	fwdShard      func(lo, hi int)
 	bwdChShard    func(lo, hi int)
 	bwdWShard     func(lo, hi int)
@@ -528,8 +480,8 @@ func newConvKernel(g ConvGeom, impl *kernelImpl) *ConvKernel {
 		fwdPanels: (n + nr - 1) / nr,
 		fwdGrain:  convGrain(nr * k * g.OutC),
 		fwdBlock:  convPackBlock(&g, nr),
-		wPanels:   (k + nr - 1) / nr,
-		wGrain:    convGrain(nr * n * g.OutC),
+		tapBlocks: (k + microM - 1) / microM,
+		wGrain:    convGrain(microM * n * g.OutC),
 		chGrain:   convGrain(taps * g.OutC * n),
 	}
 	ck.fwdShard = ck.runFwdShard
@@ -565,71 +517,110 @@ func (ck *ConvKernel) runFwdShard(pLo, pHi int) {
 		if colHi > n {
 			colHi = n
 		}
-		ck.impl.gebpTile(ck.out[colLo:], n, ck.w, ck.packedW, local, g.OutC, k, colHi-colLo)
+		ck.impl.gebpTile(ck.out[colLo:], n, tailRows(ck.w, g.OutC, k), ck.packedW, local, g.OutC, k, colHi-colLo)
 	}
 	Scratch.Put(pb)
 }
 
-// runBwdWShard computes weight-gradient column panels [pLo, pHi) of
-// gradWProd = g_out × colsᵀ: gather the transposed column panels and
-// multiply against the once-packed g_out. Each shard writes a disjoint
-// column slice of the (OutC × K) product; the per-element fold over all
-// N positions happens inside one gebpTile call, so sharding never
-// touches it.
-func (ck *ConvKernel) runBwdWShard(pLo, pHi int) {
+// runBwdWShard computes the weight-gradient taps of row blocks
+// [bLo, bHi): block b covers taps [b·microM, b·microM+microM). It runs
+// the transposed product gradWProdᵀ = cols × g_outᵀ one microM×nr tile
+// at a time — microM taps against nr output channels — reading each tap
+// straight from its padded input row (no column panel is gathered) and
+// g_outᵀ from its channel panels. The fold over the N positions runs one
+// output row per tileStrided call, continuing from the stored partial
+// tile, so every element folds ascending position from zero exactly as
+// MatMulABTInto does (the product's two factors swap, which FMA does not
+// see). Lanes past the last tap re-read a live tap and are dropped.
+func (ck *ConvKernel) runBwdWShard(bLo, bHi int) {
 	g := &ck.g
 	k, n, nr := g.K(), g.Cols(), ck.impl.nr
-	pb := Scratch.Get((pHi - pLo) * n * nr)
-	local := *pb
-	packConvColsT(local, ck.in, g, nr, pLo, pHi)
-	colLo := pLo * nr
-	colHi := pHi * nr
-	if colHi > k {
-		colHi = k
+	taps := g.KH * g.KW
+	ph, pw := g.padDims()
+	var base [microM]int
+	var a [microM][]float64
+	pt := Scratch.Get(microM * nr)
+	tile := *pt
+	for b := bLo; b < bHi; b++ {
+		t0 := b * microM
+		live := min(microM, k-t0)
+		for r := 0; r < microM; r++ {
+			t := t0 + min(r, live-1)
+			ch, tap := t/taps, t%taps
+			base[r] = (ch*ph+tap/g.KW)*pw + tap%g.KW
+		}
+		for q := 0; q*nr < g.OutC; q++ {
+			bq := ck.goutT[q*n*nr : (q+1)*n*nr]
+			for oy := 0; oy < g.OutH; oy++ {
+				off := oy * g.Stride * pw
+				for r := range a {
+					a[r] = ck.padded[base[r]+off:]
+				}
+				ck.impl.tileStrided(tile, nr, a, g.Stride, bq[oy*g.OutW*nr:], nr, g.OutW, 1, oy > 0)
+			}
+			for j := 0; j < nr && q*nr+j < g.OutC; j++ {
+				d := ck.gradW[(q*nr+j)*k+t0:]
+				for r := 0; r < live; r++ {
+					d[r] = tile[r*nr+j]
+				}
+			}
+		}
 	}
-	ck.impl.gebpTile(ck.gradW[colLo:], k, ck.gout, ck.packedGA, local, g.OutC, n, colHi-colLo)
-	Scratch.Put(pb)
+	Scratch.Put(pt)
 }
 
 // runBwdChShard computes the input gradient for channels [chLo, chHi).
-// Per channel: materialize the tiny (KH·KW × OutC) transposed weight
-// block, GEBP it against the once-packed g_out into a per-worker
-// cols-gradient stripe (fold ascending output channel, exactly
-// MatMulATBInto's order), then scatter the stripe onto the channel's
-// input plane in Col2ImInto's order.
+// It walks the channels' taps in ascending microM-row blocks: each block
+// computes its rows of the cols-gradient stripe = Wᵀ × g_out with
+// tileStrided, reading weight columns (row stride K) and g_out rows
+// (row stride N) in place — fold ascending output channel from zero,
+// exactly MatMulATBInto's — then scatters each tap onto its channel's
+// input plane. Taps reach a plane in ascending order and the plane is
+// zeroed before its first tap, which is Col2ImInto's order. Rows past
+// the shard's last tap re-read a live weight column and are dropped;
+// the ragged last nr positions run through a zero-padded copy of g_out.
 func (ck *ConvKernel) runBwdChShard(chLo, chHi int) {
 	g := &ck.g
-	k, n := g.K(), g.Cols()
+	k, n, nr := g.K(), g.Cols(), ck.impl.nr
 	taps := g.KH * g.KW
 	outC := g.OutC
-	// Pad the row count to whole microM blocks with zero rows: the GEBP
-	// kernel then runs full register tiles only (no scalar ragged-row
-	// tail, which otherwise fires once per panel for small tap counts).
-	// The pad rows compute zeros into stripe rows the scatter never
-	// reads; rows [0, taps) fold exactly as before.
-	mPad := (taps + microM - 1) / microM * microM
-	blocks := mPad / microM
-	ps := Scratch.Get(mPad * n)
-	stripe := *ps
-	pl := Scratch.Get(mPad*outC + blocks*microM*outC)
-	local := *pl
-	la := local[:mPad*outC]
-	lp := local[mPad*outC:]
-	for i := taps * outC; i < mPad*outC; i++ {
-		la[i] = 0
+	plane := g.InH * g.InW
+	full := n / nr * nr
+	ps := Scratch.Get(microM*n + outC*nr + microM*nr)
+	stripe := (*ps)[:microM*n]
+	rag := (*ps)[microM*n : microM*n+outC*nr]
+	tile := (*ps)[microM*n+outC*nr:]
+	if full < n {
+		for oc := 0; oc < outC; oc++ {
+			d := rag[oc*nr : (oc+1)*nr]
+			m := copy(d, ck.gout[oc*n+full:(oc+1)*n])
+			clear(d[m:])
+		}
 	}
-	for ch := chLo; ch < chHi; ch++ {
-		for t := 0; t < taps; t++ {
-			col := ch*taps + t
-			for oc := 0; oc < outC; oc++ {
-				la[t*outC+oc] = ck.w[oc*k+col]
+	var a [microM][]float64
+	tapHi := chHi * taps
+	for t0 := chLo * taps; t0 < tapHi; t0 += microM {
+		live := min(microM, tapHi-t0)
+		for r := range a {
+			a[r] = ck.w[t0+min(r, live-1):]
+		}
+		ck.impl.tileStrided(stripe, n, a, k, ck.gout, n, outC, full/nr, false)
+		if full < n {
+			ck.impl.tileStrided(tile, nr, a, k, rag, nr, outC, 1, false)
+			for r := 0; r < live; r++ {
+				copy(stripe[r*n+full:(r+1)*n], tile[r*nr:])
 			}
 		}
-		packRows(lp, la, outC, blocks)
-		ck.impl.gebpTile(stripe, n, la, lp, ck.packedG, mPad, outC, n)
-		scatterConvChannel(ck.gradIn, stripe, g, ch)
+		for r := 0; r < live; r++ {
+			t := t0 + r
+			ch, tap := t/taps, t%taps
+			pl := ck.gradIn[ch*plane : (ch+1)*plane]
+			if tap == 0 {
+				clear(pl)
+			}
+			ck.scatterConvTap(pl, stripe[r*n:(r+1)*n], tap/g.KW, tap%g.KW)
+		}
 	}
-	Scratch.Put(pl)
 	Scratch.Put(ps)
 }
 
@@ -662,8 +653,8 @@ func (ck *ConvKernel) Forward(out, in, w []float64) {
 
 // Backward computes the weight-gradient product gradWProd = g_out ×
 // im2col(in)ᵀ (overwritten, formed from zero — the caller adds it into
-// the accumulated gradient, preserving the data-parallel reduction's
-// association) and the input gradient gradIn (overwritten), without
+// the accumulated gradient, so the fold does not depend on how many
+// images are accumulated) and the input gradient gradIn (overwritten), without
 // materializing the column matrix or its gradient. gout is the
 // (OutC × N) output gradient; in must be the same buffer passed to the
 // matching Forward. Bit-identical to the
@@ -677,24 +668,17 @@ func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 	ck.checkOperand("gradWProd", gradWProd, g.OutC*k)
 	ck.checkOperand("gradIn", gradIn, g.InC*g.InH*g.InW)
 	nr := ck.impl.nr
-	panels := (n + nr - 1) / nr
-	pg := Scratch.Get(panels * nr * g.OutC)
-	packPanels(*pg, gout, g.OutC, n, nr)
-	ck.packedG = *pg
-	var pga *[]float64
-	if blocks := g.OutC / microM; blocks > 0 {
-		pga = Scratch.Get(blocks * microM * n)
-		packRows(*pga, gout, n, blocks)
-		ck.packedGA = *pga
-	} else {
-		ck.packedGA = nil
-	}
-	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = in, w, gout, gradWProd, gradIn
-	parallel.For(ck.g.InC, ck.chGrain, ck.bwdChShard)
-	parallel.For(ck.wPanels, ck.wGrain, ck.bwdWShard)
-	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = nil, nil, nil, nil, nil
-	ck.packedG, ck.packedGA = nil, nil
-	Scratch.Put(pga)
+	pg := Scratch.Get((g.OutC + nr - 1) / nr * nr * n)
+	packPanelsT(*pg, gout, n, g.OutC, nr)
+	ph, pw := g.padDims()
+	pp := Scratch.Get(g.InC * ph * pw)
+	padInput(*pp, in, g)
+	ck.goutT, ck.padded = *pg, *pp
+	ck.w, ck.gout, ck.gradW, ck.gradIn = w, gout, gradWProd, gradIn
+	parallel.For(g.InC, ck.chGrain, ck.bwdChShard)
+	parallel.For(ck.tapBlocks, ck.wGrain, ck.bwdWShard)
+	ck.goutT, ck.padded, ck.w, ck.gout, ck.gradW, ck.gradIn = nil, nil, nil, nil, nil, nil
+	Scratch.Put(pp)
 	Scratch.Put(pg)
 }
 
@@ -775,6 +759,6 @@ func (p *PackedConv) Forward(out, in, packedCols []float64) {
 		if colHi > n {
 			colHi = n
 		}
-		kern.gebpTile(out[colLo:], n, p.w, p.packedW, packedCols, g.OutC, k, colHi-colLo)
+		kern.gebpTile(out[colLo:], n, tailRows(p.w, g.OutC, k), p.packedW, packedCols, g.OutC, k, colHi-colLo)
 	}
 }

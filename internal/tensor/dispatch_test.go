@@ -37,7 +37,7 @@ func gebpVia(impl *kernelImpl, a, b *Tensor) *Tensor {
 		packedA = make([]float64, blocks*microM*k)
 		packRows(packedA, a.Data(), k, blocks)
 	}
-	gebpRows(impl, dst.Data(), a.Data(), packedA, packedB, 0, m, k, n)
+	gebpRows(impl, dst.Data(), tailRows(a.Data(), m, k), packedA, packedB, 0, m, k, n)
 	return dst
 }
 
@@ -125,7 +125,8 @@ func TestPackedAMulIntoMatchesNaive(t *testing.T) {
 }
 
 // TestPackedDenseMatchesDot verifies the lane-blocked dense forward is
-// bit-identical to the uncompiled per-row fold Dot(row, x) + bias[o],
+// bit-identical to the per-row FMA dot product Σ math.FMA(W[o][k], x[k])
+// (ascending k, from zero) + bias[o] — the Dense layer's GEMM forward —
 // across widths that hit full lane blocks, tails, and both at once.
 func TestPackedDenseMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -147,7 +148,11 @@ func TestPackedDenseMatchesDot(t *testing.T) {
 		got := make([]float64, out)
 		pd.Forward(got, x)
 		for o := 0; o < out; o++ {
-			want := Dot(w.Data()[o*in:(o+1)*in], x) + bias.Data()[o]
+			want := 0.0
+			for kk, wv := range w.Data()[o*in : (o+1)*in] {
+				want = math.FMA(wv, x[kk], want)
+			}
+			want += bias.Data()[o]
 			if math.Float64bits(got[o]) != math.Float64bits(want) {
 				t.Fatalf("out=%d in=%d: lane %d = %v, want %v", out, in, o, got[o], want)
 			}

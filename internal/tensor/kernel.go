@@ -3,24 +3,25 @@
 //
 //   - Destination passing: every kernel has an *Into form that writes into
 //     a caller-owned tensor, so steady-state forward/backward passes reuse
-//     layer-owned scratch instead of allocating per call.
+//     scratch instead of allocating per call.
 //
-//   - Transpose-free products: MatMulATB computes aᵀ×b and MatMulABT
-//     computes a×bᵀ by index remapping, so the conv/dense backward passes
-//     never materialize a transposed copy just to feed the next multiply.
+//   - Transpose-free products: MatMulATBInto computes aᵀ×b and
+//     MatMulABTInto computes a×bᵀ by packing the transposed operand
+//     straight into the micro-kernel's layout, so the dense layer's three
+//     batch products (X·Wᵀ, Gᵀ·X, G·W) never materialize a transposed
+//     copy.
 //
-//   - Cache blocking: MatMulInto packs b into panel-major micro-panels
-//     (one contiguous stream per 4-column panel) and register-blocks the
-//     inner loop 4×4, so each loaded value is used for 4–16 flops instead
-//     of 2.
+//   - Cache blocking: all three products pack b into panel-major
+//     micro-panels (one contiguous stream per nr-column panel) and a into
+//     4-row blocks, then run the dispatched GEBP micro-kernel (dispatch.go),
+//     so each loaded value feeds several flops instead of one.
 //
 // Determinism contract: every kernel folds each output element's terms
-// with math.FMA in ascending-k order starting from zero (or from the
-// existing destination value, for the Acc variants). Blocking reorders
-// which elements are computed when, never the per-element fold order,
-// and sharding assigns whole output rows to workers — so all results are
-// bit-identical to the naive reference kernel at any worker count. The
-// equivalence is enforced by tests against MatMulNaiveInto.
+// with math.FMA in ascending-k order starting from zero. Blocking
+// reorders which elements are computed when, never the per-element fold
+// order, and sharding assigns whole output rows to workers — so all
+// results are bit-identical to the naive reference kernel at any worker
+// count. The equivalence is enforced by tests against MatMulNaiveInto.
 //
 // math.FMA (fused multiply-add, a single rounding per term) is the
 // per-term operation everywhere, including the naive reference: it
@@ -33,6 +34,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/autonomizer/autonomizer/internal/parallel"
 )
@@ -78,48 +80,170 @@ func rowGrain(k, n int) int {
 }
 
 // MatMulInto computes dst = a×b, overwriting dst (which must be a
-// caller-owned m×n tensor distinct from a and b). Above a size cutoff the
-// kernel packs b into micro-panels from the shared Scratch arena,
-// register-blocks 4×4, and shards output row-blocks over the worker pool;
-// below it, it runs the naive single-pass loop inline. Both paths are
-// bit-identical to MatMulNaiveInto at any worker count.
+// caller-owned m×n tensor distinct from a and b). See gemm for the
+// execution strategy; every path is bit-identical to MatMulNaiveInto at
+// any worker count.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b)
 	checkDst(dst, m, n)
+	gemm(dst.data, a.data, b.data, m, k, n, false, false)
+	return dst
+}
+
+// MatMulATBInto computes dst = aᵀ×b for a (k×m) and b (k×n) without a
+// transposed copy of a: dst[i][j] = Σ_kk a[kk][i]·b[kk][j], ascending kk.
+// dst is overwritten. This is the dense weight-gradient product
+// (gradW = Gᵀ·X), where kk runs over the examples of a batch in
+// ascending order.
+func MatMulATBInto(dst, a, b *Tensor) *Tensor {
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic("tensor: MatMulATB requires rank-2 tensors")
+	}
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	if b.shape[0] != k {
+		panic(fmt.Sprintf("tensor: MatMulATB inner dimensions %d vs %d", k, b.shape[0]))
+	}
+	checkDst(dst, m, n)
+	gemm(dst.data, a.data, b.data, m, k, n, true, false)
+	return dst
+}
+
+// MatMulABTInto computes dst = a×bᵀ for a (m×k) and b (n×k) without a
+// transposed copy of b: dst[i][j] = Σ_kk a[i][kk]·b[j][kk], ascending kk.
+// dst is overwritten. This is the dense forward product (X·Wᵀ).
+func MatMulABTInto(dst, a, b *Tensor) *Tensor {
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic("tensor: MatMulABT requires rank-2 tensors")
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	if b.shape[1] != k {
+		panic(fmt.Sprintf("tensor: MatMulABT inner dimensions %d vs %d", k, b.shape[1]))
+	}
+	checkDst(dst, m, n)
+	gemm(dst.data, a.data, b.data, m, k, n, false, true)
+	return dst
+}
+
+// gemm computes the m×n product dst = op(a)×op(b), where op(a) is m×k
+// and op(b) is k×n. ta says a is stored transposed (k×m), tb that b is
+// (n×k). Small products, and products without a full microM-row block,
+// run the unpacked naive loop inline. Larger ones pack op(b) into the
+// active kernel's nr-wide panels and op(a) into microM-row blocks from
+// the shared Scratch arena — reading the transposed layouts directly, so
+// no transposed copy is ever made — then run the dispatched GEBP kernel
+// over output row-blocks sharded on the worker pool. Each element is
+// computed by exactly one fold, ascending-k with math.FMA from zero, so
+// the result is the same at any width and on either path.
+func gemm(dst, a, b []float64, m, k, n int, ta, tb bool) {
 	if m == 0 || n == 0 {
-		return dst
+		return
 	}
 	if k == 0 {
-		dst.Fill(0)
-		return dst
+		for i := range dst[:m*n] {
+			dst[i] = 0
+		}
+		return
 	}
-	if m*k*n < blockCutoff {
-		matMulNaiveRange(dst.data, a.data, b.data, 0, m, k, n)
-		return dst
+	if m*k*n < blockCutoff || m < microM || k < microM {
+		// Too small, too short (no full row block) or too shallow (k
+		// terms cannot amortize a register tile's loads and stores) to
+		// pay for packing: fold in place.
+		switch {
+		case tb:
+			matMulABTNaive(dst, a, b, m, k, n)
+		case ta:
+			matMulNaiveRange(dst, a, b, 1, m, 0, m, k, n)
+		default:
+			matMulNaiveRange(dst, a, b, k, 1, 0, m, k, n)
+		}
+		return
 	}
-	panels := (n + kern.nr - 1) / kern.nr
-	pb := Scratch.Get(panels * kern.nr * k)
-	packedB := *pb
-	packPanels(packedB, b.data, k, n, kern.nr)
-	// Pack the full row-blocks of a the same way, so the micro-kernel
-	// streams both operands from contiguous memory. The ragged row tail
-	// (m % 4 rows) reads a directly in the scalar path.
-	rowBlocks := m / microM
-	var pa *[]float64
-	var packedA []float64
-	if rowBlocks > 0 {
-		pa = Scratch.Get(rowBlocks * microM * k)
-		packedA = *pa
-		packRows(packedA, a.data, k, rowBlocks)
+	pb := Scratch.Get(PackedBLen(k, n))
+	if tb {
+		packPanelsT(*pb, b, k, n, kern.nr)
+	} else {
+		packPanels(*pb, b, k, n, kern.nr)
 	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		gebpRows(kern, dst.data, a.data, packedA, packedB, lo, hi, k, n)
-	})
-	if pa != nil {
-		Scratch.Put(pa)
+	// The full row-blocks of op(a) are packed so the micro-kernel streams
+	// both operands from contiguous memory; the ragged tail (m % microM
+	// rows) stays row-major after them and runs the scalar path.
+	blocks := m / microM
+	pa := Scratch.Get(m * k)
+	packedA := (*pa)[:blocks*microM*k]
+	tail := (*pa)[blocks*microM*k:]
+	if ta {
+		packRowsT(packedA, a, m, k, blocks)
+		for r := 0; r < m-blocks*microM; r++ {
+			i := blocks*microM + r
+			for kk := 0; kk < k; kk++ {
+				tail[r*k+kk] = a[kk*m+i]
+			}
+		}
+	} else {
+		packRows(packedA, a, k, blocks)
+		tail = a[blocks*microM*k : m*k]
 	}
+	job := gemmJobs.Get().(*gemmJob)
+	job.dst, job.tail, job.packedA, job.packedB, job.k, job.n = dst, tail, packedA, *pb, k, n
+	parallel.ForAligned(m, rowGrain(k, n), microM, job.run)
+	job.dst, job.tail, job.packedA, job.packedB = nil, nil, nil, nil
+	gemmJobs.Put(job)
+	Scratch.Put(pa)
 	Scratch.Put(pb)
-	return dst
+}
+
+// gemmJob carries one packed product to its row shards. Jobs are pooled
+// with their shard method value bound once, so handing the shard to the
+// worker pool allocates nothing in the steady state (a closure over the
+// operands would escape to the heap on every call).
+type gemmJob struct {
+	dst, tail, packedA, packedB []float64
+	k, n                        int
+	run                         func(lo, hi int)
+}
+
+var gemmJobs = sync.Pool{New: func() any {
+	j := &gemmJob{}
+	j.run = j.rows
+	return j
+}}
+
+func (j *gemmJob) rows(lo, hi int) {
+	gebpRows(kern, j.dst, j.tail, j.packedA, j.packedB, lo, hi, j.k, j.n)
+}
+
+// matMulABTNaive is the unpacked a×bᵀ loop (b stored n×k): both
+// operands stream row-major in k, four output columns at a time so four
+// independent folds overlap. Each output folds ascending-k with math.FMA
+// from zero — the reference semantics.
+func matMulABTNaive(dst, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[(j+0)*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			for kk, av := range arow {
+				s0 = math.FMA(av, b0[kk], s0)
+				s1 = math.FMA(av, b1[kk], s1)
+				s2 = math.FMA(av, b2[kk], s2)
+				s3 = math.FMA(av, b3[kk], s3)
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			s := 0.0
+			for kk, av := range arow {
+				s = math.FMA(av, brow[kk], s)
+			}
+			orow[j] = s
+		}
+	}
 }
 
 // MatMulNaiveInto is the sequential reference kernel: a single-pass ikj
@@ -133,21 +257,22 @@ func MatMulNaiveInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b)
 	checkDst(dst, m, n)
 	dst.Fill(0)
-	matMulNaiveRange(dst.data, a.data, b.data, 0, m, k, n)
+	matMulNaiveRange(dst.data, a.data, b.data, k, 1, 0, m, k, n)
 	return dst
 }
 
-// matMulNaiveRange computes rows [lo, hi) of dst = a×b with the reference
-// ikj loop. dst rows are fully overwritten.
-func matMulNaiveRange(dst, a, b []float64, lo, hi, k, n int) {
+// matMulNaiveRange computes rows [lo, hi) of dst = op(a)×b with the
+// reference ikj loop, where element (i, kk) of op(a) is a[i*ai+kk*ak]
+// (ai, ak = k, 1 for a row-major a; 1, m for a stored transposed). dst
+// rows are fully overwritten.
+func matMulNaiveRange(dst, a, b []float64, ai, ak, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
 		for j := range orow {
 			orow[j] = 0
 		}
 		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
+			av := a[i*ai+kk*ak]
 			brow := b[kk*n : (kk+1)*n]
 			for j, bv := range brow {
 				orow[j] = math.FMA(av, bv, orow[j])
@@ -200,6 +325,52 @@ func packRows(packed, a []float64, k, blocks int) {
 	}
 }
 
+// packPanelsT is packPanels for a b stored transposed (n×k, so column j
+// of the k×n operand is row j of b): the same panel layout, gathered
+// from b's rows. A full 8-wide panel (every AVX2 panel but a ragged
+// last one) reads its eight rows in step and writes each k step as one
+// contiguous group; other panels fill one lane at a time.
+func packPanelsT(packed, b []float64, k, n, nr int) {
+	for p := 0; p*nr < n; p++ {
+		j0 := p * nr
+		w := min(nr, n-j0)
+		dst := packed[p*k*nr : (p+1)*k*nr]
+		if w == 8 && nr == 8 {
+			r0, r1, r2, r3 := b[j0*k:(j0+1)*k], b[(j0+1)*k:(j0+2)*k], b[(j0+2)*k:(j0+3)*k], b[(j0+3)*k:(j0+4)*k]
+			r4, r5, r6, r7 := b[(j0+4)*k:(j0+5)*k], b[(j0+5)*k:(j0+6)*k], b[(j0+6)*k:(j0+7)*k], b[(j0+7)*k:(j0+8)*k]
+			for kk := range r0 {
+				d := dst[kk*8 : kk*8+8]
+				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+				d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+			}
+			continue
+		}
+		for jj := 0; jj < nr; jj++ {
+			if jj >= w {
+				for di := jj; di < len(dst); di += nr {
+					dst[di] = 0
+				}
+				continue
+			}
+			for kk, v := range b[(j0+jj)*k : (j0+jj+1)*k] {
+				dst[kk*nr+jj] = v
+			}
+		}
+	}
+}
+
+// packRowsT is packRows for an a stored transposed (k×m): each k step of
+// a row block is four consecutive elements of one row of a.
+func packRowsT(packed, a []float64, m, k, blocks int) {
+	for r := 0; r < blocks; r++ {
+		i0 := r * microM
+		dst := packed[r*k*microM : (r+1)*k*microM]
+		for kk := 0; kk < k; kk++ {
+			copy(dst[kk*microM:kk*microM+microM], a[kk*m+i0:kk*m+i0+microM])
+		}
+	}
+}
+
 // storeClipped writes up to four accumulated values into drow starting at
 // column j0, dropping the lanes that fall past column n (the padded lanes
 // of a ragged panel).
@@ -218,23 +389,31 @@ func storeClipped(drow []float64, j0, n int, c0, c1, c2, c3 float64) {
 
 // gebpRows runs an implementation's GEBP tile kernel over output rows
 // [lo, hi) of an m×n product whose packed operands cover the full
-// matrix: the row-sharding adapter behind MatMulInto and MulInto. lo is
-// a multiple of microM (ForAligned), so the local view of packedA starts
-// on a block boundary.
-func gebpRows(impl *kernelImpl, dst, a, packedA, packedB []float64, lo, hi, k, n int) {
+// matrix: the row-sharding adapter behind gemm. lo is a multiple of
+// microM (ForAligned), so the local view of packedA starts on a block
+// boundary, and only the last shard reaches the ragged tail rows, which
+// tail holds row-major.
+func gebpRows(impl *kernelImpl, dst, tail, packedA, packedB []float64, lo, hi, k, n int) {
 	var pa []float64
 	if off := (lo / microM) * k * microM; off < len(packedA) {
 		pa = packedA[off:]
 	}
-	impl.gebpTile(dst[lo*n:], n, a[lo*k:], pa, packedB, hi-lo, k, n)
+	impl.gebpTile(dst[lo*n:], n, tail, pa, packedB, hi-lo, k, n)
+}
+
+// tailRows returns the ragged-row tail of a row-major m×k matrix — rows
+// [m/microM·microM, m), the rows GEBP does not pack — as a tile kernel's
+// a operand.
+func tailRows(a []float64, m, k int) []float64 {
+	return a[m/microM*microM*k : m*k]
 }
 
 // matMulPackedTile computes the m×cols tile dst[i*ldd+j] (i < m,
 // j < cols) = packed(a)×packed(b) with the 4×4 register micro-kernel.
 // dst points at the tile origin inside a larger row-major matrix of row
 // stride ldd; packedB holds ceil(cols/4) zero-padded column panels local
-// to the tile; packedA holds a's full microM-row blocks and a is the
-// plain m×k row-major operand, read only for the ragged row tail. Both
+// to the tile; packedA holds a's full microM-row blocks and a holds the
+// ragged row tail (rows [m/4·4, m), row-major), read only there. Both
 // packed operands stream from contiguous micro-panels; the loop
 // condition on the two slice lengths lets the compiler drop every bounds
 // check in the hot loop. Every accumulator folds ascending-k from zero
@@ -332,10 +511,10 @@ func matMulPackedTile(dst []float64, ldd int, a, packedA, packedB []float64, m, 
 			storeClipped(dst[(i+3)*ldd:(i+3)*ldd+cols], j0, cols, c30, c31, c32, c33)
 		}
 	}
-	// Ragged row tail: 1×4 kernel over the packed b panels, reading a
-	// directly (tail rows are never packed).
-	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
+	// Ragged row tail: 1×4 kernel over the packed b panels, reading the
+	// row-major tail rows (they are never packed).
+	for t := 0; i < m; i, t = i+1, t+1 {
+		arow := a[t*k : (t+1)*k]
 		drow := dst[i*ldd : i*ldd+cols]
 		for p := 0; p < panels; p++ {
 			pb := packedB[p*k*microN : (p+1)*k*microN]
@@ -350,271 +529,6 @@ func matMulPackedTile(dst []float64, ldd int, a, packedA, packedB []float64, m, 
 				c3 = math.FMA(av, q[3], c3)
 			}
 			storeClipped(drow, p*microN, cols, c0, c1, c2, c3)
-		}
-	}
-}
-
-// matMulATBDims validates aᵀ×b for a (k×m) and b (k×n).
-func matMulATBDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulATB requires rank-2 tensors")
-	}
-	k, m = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulATB inner dimensions %d vs %d", k, b.shape[0]))
-	}
-	return m, k, b.shape[1]
-}
-
-// MatMulATB computes aᵀ×b for a (k×m) and b (k×n) without materializing
-// the transpose, returning a fresh (m×n) tensor.
-func MatMulATB(a, b *Tensor) *Tensor {
-	m, _, n := matMulATBDims(a, b)
-	return MatMulATBInto(New(m, n), a, b)
-}
-
-// MatMulATBInto computes dst = aᵀ×b by index remapping: dst[i][j] =
-// Σ_kk a[kk][i]·b[kk][j], ascending kk — the exact per-element order of
-// MatMulNaiveInto(dst, Transpose(a), b), with no transposed copy. dst is
-// overwritten and sharded by output row at any worker count.
-func MatMulATBInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulATBDims(a, b)
-	checkDst(dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		dst.Fill(0)
-		return dst
-	}
-	if m*k*n < blockCutoff {
-		matMulATBRange(dst.data, a.data, b.data, 0, m, k, m, n)
-		return dst
-	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		matMulATBRange(dst.data, a.data, b.data, lo, hi, k, m, n)
-	})
-	return dst
-}
-
-// matMulATBRange computes dst rows [lo, hi) of aᵀ×b. The 4×4 micro-kernel
-// reads four consecutive a columns (contiguous at a[kk·m+i]) and four
-// consecutive b columns (contiguous at b[kk·n+j]) per k step.
-func matMulATBRange(dst, a, b []float64, lo, hi, k, m, n int) {
-	i := lo
-	for ; i+microM <= hi; i += microM {
-		j := 0
-		for ; j+microN <= n; j += microN {
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			for kk := 0; kk < k; kk++ {
-				qa := a[kk*m+i:]
-				_ = qa[3]
-				qb := b[kk*n+j:]
-				_ = qb[3]
-				b0, b1, b2, b3 := qb[0], qb[1], qb[2], qb[3]
-				av := qa[0]
-				c00 = math.FMA(av, b0, c00)
-				c01 = math.FMA(av, b1, c01)
-				c02 = math.FMA(av, b2, c02)
-				c03 = math.FMA(av, b3, c03)
-				av = qa[1]
-				c10 = math.FMA(av, b0, c10)
-				c11 = math.FMA(av, b1, c11)
-				c12 = math.FMA(av, b2, c12)
-				c13 = math.FMA(av, b3, c13)
-				av = qa[2]
-				c20 = math.FMA(av, b0, c20)
-				c21 = math.FMA(av, b1, c21)
-				c22 = math.FMA(av, b2, c22)
-				c23 = math.FMA(av, b3, c23)
-				av = qa[3]
-				c30 = math.FMA(av, b0, c30)
-				c31 = math.FMA(av, b1, c31)
-				c32 = math.FMA(av, b2, c32)
-				c33 = math.FMA(av, b3, c33)
-			}
-			storeClipped(dst[(i+0)*n:(i+1)*n], j, n, c00, c01, c02, c03)
-			storeClipped(dst[(i+1)*n:(i+2)*n], j, n, c10, c11, c12, c13)
-			storeClipped(dst[(i+2)*n:(i+3)*n], j, n, c20, c21, c22, c23)
-			storeClipped(dst[(i+3)*n:(i+4)*n], j, n, c30, c31, c32, c33)
-		}
-		for ; j < n; j++ {
-			var s0, s1, s2, s3 float64
-			for kk := 0; kk < k; kk++ {
-				qa := a[kk*m+i:]
-				_ = qa[3]
-				bv := b[kk*n+j]
-				s0 = math.FMA(qa[0], bv, s0)
-				s1 = math.FMA(qa[1], bv, s1)
-				s2 = math.FMA(qa[2], bv, s2)
-				s3 = math.FMA(qa[3], bv, s3)
-			}
-			dst[(i+0)*n+j] = s0
-			dst[(i+1)*n+j] = s1
-			dst[(i+2)*n+j] = s2
-			dst[(i+3)*n+j] = s3
-		}
-	}
-	for ; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := a[kk*m+i]
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				drow[j] = math.FMA(av, bv, drow[j])
-			}
-		}
-	}
-}
-
-// matMulABTDims validates a×bᵀ for a (m×k) and b (n×k).
-func matMulABTDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulABT requires rank-2 tensors")
-	}
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulABT inner dimensions %d vs %d", k, b.shape[1]))
-	}
-	return m, k, b.shape[0]
-}
-
-// MatMulABT computes a×bᵀ for a (m×k) and b (n×k) without materializing
-// the transpose, returning a fresh (m×n) tensor.
-func MatMulABT(a, b *Tensor) *Tensor {
-	m, _, n := matMulABTDims(a, b)
-	return MatMulABTInto(New(m, n), a, b)
-}
-
-// MatMulABTInto computes dst = a×bᵀ: dst[i][j] = Σ_kk a[i][kk]·b[j][kk],
-// ascending kk. Both operands stream row-major, so no packing is needed.
-// dst is overwritten.
-func MatMulABTInto(dst, a, b *Tensor) *Tensor {
-	return matMulABT(dst, a, b, false)
-}
-
-// MatMulABTAcc accumulates dst += a×bᵀ directly into the existing
-// destination: each element starts from its current value and adds the
-// Σ_kk terms in ascending-k order. This is the conv/dense gradient
-// accumulation primitive — no product temporary, no AddInPlace pass.
-func MatMulABTAcc(dst, a, b *Tensor) *Tensor {
-	return matMulABT(dst, a, b, true)
-}
-
-func matMulABT(dst, a, b *Tensor, acc bool) *Tensor {
-	m, k, n := matMulABTDims(a, b)
-	checkDst(dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		if !acc {
-			dst.Fill(0)
-		}
-		return dst
-	}
-	if m*k*n < blockCutoff {
-		matMulABTRange(dst.data, a.data, b.data, 0, m, k, n, acc)
-		return dst
-	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		matMulABTRange(dst.data, a.data, b.data, lo, hi, k, n, acc)
-	})
-	return dst
-}
-
-// matMulABTRange computes dst rows [lo, hi) of a×bᵀ. The 4×4 micro-kernel
-// streams four a rows against four b rows, all contiguous in k. With acc,
-// accumulators start from the existing destination values.
-func matMulABTRange(dst, a, b []float64, lo, hi, k, n int, acc bool) {
-	i := lo
-	for ; i+microM <= hi; i += microM {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		d0 := dst[(i+0)*n : (i+1)*n]
-		d1 := dst[(i+1)*n : (i+2)*n]
-		d2 := dst[(i+2)*n : (i+3)*n]
-		d3 := dst[(i+3)*n : (i+4)*n]
-		j := 0
-		for ; j+microN <= n; j += microN {
-			b0 := b[(j+0)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			if acc {
-				c00, c01, c02, c03 = d0[j], d0[j+1], d0[j+2], d0[j+3]
-				c10, c11, c12, c13 = d1[j], d1[j+1], d1[j+2], d1[j+3]
-				c20, c21, c22, c23 = d2[j], d2[j+1], d2[j+2], d2[j+3]
-				c30, c31, c32, c33 = d3[j], d3[j+1], d3[j+2], d3[j+3]
-			}
-			for kk := 0; kk < k; kk++ {
-				v0, v1, v2, v3 := b0[kk], b1[kk], b2[kk], b3[kk]
-				av := a0[kk]
-				c00 = math.FMA(av, v0, c00)
-				c01 = math.FMA(av, v1, c01)
-				c02 = math.FMA(av, v2, c02)
-				c03 = math.FMA(av, v3, c03)
-				av = a1[kk]
-				c10 = math.FMA(av, v0, c10)
-				c11 = math.FMA(av, v1, c11)
-				c12 = math.FMA(av, v2, c12)
-				c13 = math.FMA(av, v3, c13)
-				av = a2[kk]
-				c20 = math.FMA(av, v0, c20)
-				c21 = math.FMA(av, v1, c21)
-				c22 = math.FMA(av, v2, c22)
-				c23 = math.FMA(av, v3, c23)
-				av = a3[kk]
-				c30 = math.FMA(av, v0, c30)
-				c31 = math.FMA(av, v1, c31)
-				c32 = math.FMA(av, v2, c32)
-				c33 = math.FMA(av, v3, c33)
-			}
-			d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
-			d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
-			d2[j], d2[j+1], d2[j+2], d2[j+3] = c20, c21, c22, c23
-			d3[j], d3[j+1], d3[j+2], d3[j+3] = c30, c31, c32, c33
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s0, s1, s2, s3 float64
-			if acc {
-				s0, s1, s2, s3 = d0[j], d1[j], d2[j], d3[j]
-			}
-			for kk, bv := range brow {
-				s0 = math.FMA(a0[kk], bv, s0)
-				s1 = math.FMA(a1[kk], bv, s1)
-				s2 = math.FMA(a2[kk], bv, s2)
-				s3 = math.FMA(a3[kk], bv, s3)
-			}
-			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := range drow {
-			brow := b[j*k : (j+1)*k]
-			var s float64
-			if acc {
-				s = drow[j]
-			}
-			for kk, bv := range brow {
-				s = math.FMA(arow[kk], bv, s)
-			}
-			drow[j] = s
 		}
 	}
 }

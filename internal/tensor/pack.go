@@ -11,7 +11,10 @@
 // plan is recompiled when new weights are published, never mutated.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PackedA is a matrix packed once for the left-hand side of GEBP
 // products (dst = A×b): full microM-row blocks in kk-major packed form,
@@ -80,7 +83,7 @@ func (p *PackedA) MulInto(dst *Tensor, packedB []float64, n int) *Tensor {
 		dst.Fill(0)
 		return dst
 	}
-	kern.gebpTile(dst.data, n, p.a, p.packed, packedB, p.m, p.k, n)
+	kern.gebpTile(dst.data, n, tailRows(p.a, p.m, p.k), p.packed, packedB, p.m, p.k, n)
 	return dst
 }
 
@@ -88,7 +91,7 @@ func (p *PackedA) MulInto(dst *Tensor, packedB []float64, n int) *Tensor {
 // lane-blocked single-vector forward pass dst = W·x + bias. The packed
 // layout groups kern.lanes output rows per block, kk-major, so each k
 // step feeds every lane from one contiguous load; rows past the last
-// full block stay row-major and run the scalar Dot path.
+// full block stay row-major and run a scalar FMA fold.
 type PackedDense struct {
 	lanes  int
 	blocks int
@@ -133,9 +136,9 @@ func (p *PackedDense) In() int { return p.k }
 func (p *PackedDense) Out() int { return p.out }
 
 // Forward computes dst = W·x + bias, sequentially and without
-// allocating. Every output folds its terms ascending-k with separate
-// multiply and add, then adds the bias once — bit-identical to the
-// uncompiled Dense layer's Dot(row, x) + bias[o].
+// allocating. Every output folds its terms ascending-k with math.FMA from
+// zero, then adds the bias once — bit-identical to the uncompiled Dense
+// layer's GEMM forward.
 func (p *PackedDense) Forward(dst, x []float64) {
 	if len(x) != p.k {
 		panic(fmt.Sprintf("tensor: PackedDense input %d, want %d", len(x), p.k))
@@ -148,6 +151,10 @@ func (p *PackedDense) Forward(dst, x []float64) {
 	}
 	for o := p.blocks * p.lanes; o < p.out; o++ {
 		t := o - p.blocks*p.lanes
-		dst[o] = Dot(p.tail[t*p.k:(t+1)*p.k], x) + p.bias[o]
+		s := 0.0
+		for kk, w := range p.tail[t*p.k : (t+1)*p.k] {
+			s = math.FMA(w, x[kk], s)
+		}
+		dst[o] = s + p.bias[o]
 	}
 }

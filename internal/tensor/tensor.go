@@ -246,18 +246,6 @@ func ViewOf(view *Tensor, data []float64, shape ...int) *Tensor {
 	return view
 }
 
-// Dot computes the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // MaxAbs returns the largest absolute element value, used for gradient
 // clipping diagnostics.
 func (t *Tensor) MaxAbs() float64 {

@@ -193,18 +193,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	New(2).AddInPlace(New(3))
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot length mismatch did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestNorms(t *testing.T) {
 	a := FromSlice([]float64{3, -4}, 2)
 	if got := a.L2Norm(); math.Abs(got-5) > 1e-12 {
@@ -269,6 +257,15 @@ func TestIm2ColPadding(t *testing.T) {
 	}
 }
 
+// dot is the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
 // TestCol2ImAdjoint verifies <Im2Col(x), y> == <x, Col2Im(y)>, the adjoint
 // identity that makes the convolution backward pass correct.
 func TestCol2ImAdjoint(t *testing.T) {
@@ -288,9 +285,9 @@ func TestCol2ImAdjoint(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			y.Data()[i] = float64(int64(s>>40)) / (1 << 20)
 		}
-		lhs := Dot(cols.Data(), y.Data())
+		lhs := dot(cols.Data(), y.Data())
 		back := Col2Im(y, 1, 4, 4, 3, 3, 1, 1)
-		rhs := Dot(x.Data(), back.Data())
+		rhs := dot(x.Data(), back.Data())
 		return math.Abs(lhs-rhs) <= 1e-9*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {

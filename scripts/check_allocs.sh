@@ -14,10 +14,12 @@
 #   CNNForwardTrain 0  (uncompiled training forward — the implicit-GEMM
 #                       ConvKernel dispatches persistent shard closures
 #                       and draws every transient from the scratch arena)
-#   TrainBatch      8  (0 on one core; on multicore the data-parallel
-#                       batch path pays a few WaitGroup/closure headers
-#                       per parallel.Run call — fixed-size dispatch
-#                       cost, never data-sized traffic)
+#   TrainBatch      8  (0 today; the headroom is for fixed-size
+#                       worker-pool dispatch cost on multicore, never
+#                       data-sized traffic)
+#   DQNObserve      0  (one replayed DQN update at parallel width 1:
+#                       replay sample, batch-major forward/backward,
+#                       Adam step)
 #
 # Budgets are overridable (MAX_ALLOCS_<NAME>) so a future PR can land a
 # conscious regression without rewriting the gate.
@@ -30,8 +32,9 @@ MAX_ALLOCS_SERVEDPREDICT="${MAX_ALLOCS_SERVEDPREDICT:-0}"
 MAX_ALLOCS_CNNFORWARD="${MAX_ALLOCS_CNNFORWARD:-0}"
 MAX_ALLOCS_CNNFORWARDTRAIN="${MAX_ALLOCS_CNNFORWARDTRAIN:-0}"
 MAX_ALLOCS_TRAINBATCH="${MAX_ALLOCS_TRAINBATCH:-8}"
+MAX_ALLOCS_DQNOBSERVE="${MAX_ALLOCS_DQNOBSERVE:-0}"
 
-out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch)$' \
+out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch|DQNObserve)$' \
     -benchmem -benchtime 100x -run '^$' ./internal/bench/)
 printf '%s\n' "$out"
 
@@ -59,4 +62,5 @@ check ServedPredict "$MAX_ALLOCS_SERVEDPREDICT"
 check CNNForward "$MAX_ALLOCS_CNNFORWARD"
 check CNNForwardTrain "$MAX_ALLOCS_CNNFORWARDTRAIN"
 check TrainBatch "$MAX_ALLOCS_TRAINBATCH"
+check DQNObserve "$MAX_ALLOCS_DQNOBSERVE"
 exit "$fail"
