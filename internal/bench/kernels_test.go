@@ -51,8 +51,9 @@ func benchCNN() *nn.Network {
 //     speedup, single-core (SetWorkers(1)) so the comparison isolates
 //     cache blocking from sharding.
 //   - Dense/Conv2D forward+backward: layer-level steady state.
-//   - NetworkForward, TrainBatch, DQNObserve, ServedPredict: end-to-end
-//     allocs/op — NetworkForward, DQNObserve and ServedPredict must report
+//   - NetworkForward, TrainBatch, DQNObserve, DQNObserveRaw,
+//     ServedPredict: end-to-end allocs/op — NetworkForward, DQNObserve,
+//     DQNObserveRaw and ServedPredict must report
 //     0 allocs/op after warm-up; TrainBatch has a fixed small budget (see
 //     check_allocs.sh).
 func BenchmarkKernels(b *testing.B) {
@@ -258,6 +259,36 @@ func BenchmarkKernels(b *testing.B) {
 		stream := make([]rl.Transition, 256)
 		for i := range stream {
 			s, next := tensor.New(4), tensor.New(4)
+			fillKernel(s, uint64(100+i))
+			fillKernel(next, uint64(400+i))
+			stream[i] = rl.Transition{State: s.Data(), Action: i % 2, Reward: float64(i%3) - 1,
+				NextState: next.Data(), Terminal: i%50 == 49}
+		}
+		for _, tr := range stream {
+			agent.Observe(tr) // fill past warm-up; the last ones train
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agent.Observe(stream[i%len(stream)])
+		}
+	})
+
+	b.Run("DQNObserveRaw", func(b *testing.B) {
+		// One replayed DQN update per op on the Table 3 Raw network
+		// (nn.NewDeepMindCNN over 1x16x16 pixels, 2 actions, minibatch
+		// 32): three batch-major Conv2D passes each way, pooling, the
+		// dense head, loss, clip and Adam step. Gated at 0 allocs/op at
+		// width 1.
+		defer parallel.SetWorkers(parallel.SetWorkers(1))
+		rng := stats.NewRNG(7)
+		agent := rl.NewAgent(nn.NewDeepMindCNN(1, 16, 16, 2, rng.Split()),
+			nn.NewDeepMindCNN(1, 16, 16, 2, rng.Split()), 2,
+			rl.Config{BatchSize: 32, WarmupSteps: 64, ReplayCapacity: 4096, StateShape: []int{1, 16, 16}},
+			rng.Split())
+		stream := make([]rl.Transition, 256)
+		for i := range stream {
+			s, next := tensor.New(1, 16, 16), tensor.New(1, 16, 16)
 			fillKernel(s, uint64(100+i))
 			fillKernel(next, uint64(400+i))
 			stream[i] = rl.Transition{State: s.Data(), Action: i % 2, Reward: float64(i%3) - 1,

@@ -130,7 +130,7 @@ func rothwellToLabel(p rothwell.Params) []float64 {
 }
 
 func rothwellFromLabel(v []float64) rothwell.Params {
-	return rothwell.Params{Sigma: v[0] * 4, Alpha: v[1], MinLen: int(v[2]*16 + 0.5)}.Clamp()
+	return rothwell.Params{Sigma: v[0] * 4, Alpha: v[1], MinLen: int(float64(v[2]*16) + 0.5)}.Clamp()
 }
 
 // OracleLabel implements SLSubject.

@@ -121,7 +121,7 @@ func Detect(img *imaging.Image, p Params, g *dep.Graph, tr *Trace) (*imaging.Ima
 	if maxMag == 0 {
 		maxMag = 1
 	}
-	hist := stats.Histogram(nms.Pix, HistBins, 0, maxMag*(1+1e-9))
+	hist := stats.Histogram(nms.Pix, HistBins, 0, float64(maxMag*(1+1e-9)))
 	if tr != nil {
 		tr.Hist = append([]float64(nil), hist...)
 		tr.MaxMag = maxMag

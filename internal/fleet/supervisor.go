@@ -372,7 +372,7 @@ func (s *Supervisor) backoff(w *worker, consec int) bool {
 	if d <= 0 || d > s.cfg.BackoffMax {
 		d = s.cfg.BackoffMax
 	}
-	d = time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
+	d = time.Duration(float64(d) * (0.75 + float64(0.5*rand.Float64())))
 	s.setState(w, WorkerBackoff)
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -111,7 +111,7 @@ func (g *Game) Step(action int) (float64, bool) {
 	case ActRight:
 		g.state.PaddleX += paddleVel
 	}
-	g.state.PaddleX = stats.Clamp(g.state.PaddleX, g.state.PaddleW/2, fieldW-g.state.PaddleW/2)
+	g.state.PaddleX = stats.Clamp(g.state.PaddleX, g.state.PaddleW/2, fieldW-float64(g.state.PaddleW/2))
 
 	// Widening timer.
 	if g.state.WideLeft > 0 {
@@ -182,7 +182,7 @@ func (g *Game) Step(action int) (float64, bool) {
 	// Paddle bounce.
 	if g.state.VY > 0 && g.state.BallY >= paddleY && g.state.BallY <= paddleY+1 {
 		dx := g.state.BallX - g.state.PaddleX
-		if math.Abs(dx) <= g.state.PaddleW/2+0.5 {
+		if math.Abs(dx) <= float64(g.state.PaddleW/2)+0.5 {
 			angle := (dx / (g.state.PaddleW / 2)) * 1.0
 			g.state.VX = ballSpeed * math.Sin(angle)
 			g.state.VY = -ballSpeed * math.Cos(angle)
@@ -244,7 +244,7 @@ func (g *Game) Screen() *imaging.Image {
 			v = 190
 		}
 		x0 := int(float64(col) * brickW * sx)
-		y0 := int((brickTop + float64(row)*brickH) * sy)
+		y0 := int((brickTop + float64(float64(row)*brickH)) * sy)
 		for y := y0; y < y0+2; y++ {
 			for x := x0; x < x0+int(brickW*sx)-1; x++ {
 				img.Set(x, y, v)
@@ -255,7 +255,7 @@ func (g *Game) Screen() *imaging.Image {
 		img.Set(int(g.state.Power.X*sx), int(g.state.Power.Y*sy), 120)
 	}
 	py := int(paddleY * sy)
-	for x := int((g.state.PaddleX - g.state.PaddleW/2) * sx); x <= int((g.state.PaddleX+g.state.PaddleW/2)*sx); x++ {
+	for x := int((g.state.PaddleX - float64(g.state.PaddleW/2)) * sx); x <= int((g.state.PaddleX+float64(g.state.PaddleW/2))*sx); x++ {
 		img.Set(x, py, 220)
 	}
 	img.Set(int(g.state.BallX*sx), int(g.state.BallY*sy), 255)

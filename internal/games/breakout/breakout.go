@@ -188,8 +188,8 @@ func (g *Game) Screen() *imaging.Image {
 			continue
 		}
 		row, col := i/brickCols, i%brickCols
-		x0 := int(float64(col) * brickW * sx)
-		y0 := int((brickTop + float64(row)*brickH) * sy)
+		x0 := int(float64(float64(col)*brickW) * sx)
+		y0 := int((brickTop + float64(float64(row)*brickH)) * sy)
 		for y := y0; y < y0+2; y++ {
 			for x := x0; x < x0+int(brickW*sx)-1; x++ {
 				img.Set(x, y, 160)

@@ -115,7 +115,7 @@ func (g *Game) Step(action int) (float64, bool) {
 // pipeIndex returns the pipe whose 2-unit-wide column contains x, or -1.
 func (g *Game) pipeIndex(x float64) int {
 	i := int(x / pipeEvery)
-	col := float64(i) * pipeEvery
+	col := float64(float64(i) * pipeEvery)
 	if i >= 1 && i-1 < len(g.pipes) && x >= col-1 && x <= col+1 {
 		return i - 1
 	}
@@ -129,7 +129,7 @@ func (g *Game) nextPipe() (idx int, dist float64) {
 	if i-1 >= len(g.pipes) {
 		return len(g.pipes) - 1, courseLen - g.state.X
 	}
-	return i - 1, float64(i)*pipeEvery - g.state.X
+	return i - 1, float64(float64(i)*pipeEvery) - g.state.X
 }
 
 // StateVars implements env.Env. Besides the informative variables it
@@ -186,7 +186,7 @@ func (g *Game) Screen() *imaging.Image {
 	scaleY := 64.0 / worldH
 	// Pipes within the visible 64-unit window ahead of the bird.
 	for i, center := range g.pipes {
-		col := float64(i+1) * pipeEvery
+		col := float64(float64(i+1) * pipeEvery)
 		sx := int(col - g.state.X + birdX)
 		if sx < 0 || sx >= 64 {
 			continue

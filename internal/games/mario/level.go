@@ -149,9 +149,9 @@ func buildLevel(rng *stats.RNG) *level {
 	// clear of ditches.
 	n := 4 + rng.Intn(3)
 	for i := 0; i < n; i++ {
-		gx := 25 + rng.Float64()*float64(flagX-50)
+		gx := 25 + float64(rng.Float64()*float64(flagX-50))
 		for tries := 0; tries < 20 && (nearDitch(int(gx)-4) || nearDitch(int(gx)+4)); tries++ {
-			gx = 25 + rng.Float64()*float64(flagX-50)
+			gx = 25 + float64(rng.Float64()*float64(flagX-50))
 		}
 		l.goombaSpawns = append(l.goombaSpawns, gx)
 	}

@@ -285,8 +285,8 @@ func (g *Game) Step(action int) (float64, bool) {
 			continue
 		}
 		g.hit("goomba.patrol")
-		gb.X += gb.Dir * goombaVel
-		if math.Abs(gb.X-gb.SpawnX) > 3 || g.level.solidAt(gb.X+gb.Dir*0.5, gb.Y) {
+		gb.X += float64(gb.Dir * goombaVel)
+		if math.Abs(gb.X-gb.SpawnX) > 3 || g.level.solidAt(gb.X+float64(gb.Dir*0.5), gb.Y) {
 			g.hit("goomba.turn")
 			gb.Dir = -gb.Dir
 		}

@@ -111,9 +111,9 @@ func (g *Game) Step(action int) (float64, bool) {
 
 	// The track curves under the car: curvature shifts the centerline,
 	// which appears as lateral drift unless countered by steering.
-	drift := g.curvatureAt(g.state.Pos) * g.state.Speed * 10
-	g.state.PosX += math.Sin(g.state.Heading)*g.state.Speed + drift
-	g.state.Pos += math.Cos(g.state.Heading) * g.state.Speed
+	drift := float64(g.curvatureAt(g.state.Pos) * g.state.Speed * 10)
+	g.state.PosX += float64(math.Sin(g.state.Heading)*g.state.Speed) + drift
+	g.state.Pos += float64(math.Cos(g.state.Heading) * g.state.Speed)
 
 	if math.Abs(g.state.PosX) > halfWidth {
 		g.state.Bumped = true
@@ -124,7 +124,7 @@ func (g *Game) Step(action int) (float64, bool) {
 		return 10, true
 	}
 	// Reward centering and progress.
-	return 0.5 - 0.1*math.Abs(g.state.PosX), false
+	return 0.5 - float64(0.1*math.Abs(g.state.PosX)), false
 }
 
 // StateVars implements env.Env. posX/roll and accX reproduce the
@@ -137,12 +137,12 @@ func (g *Game) StateVars() map[string]float64 {
 	return map[string]float64{
 		"posX": g.state.PosX,
 		// roll is a near-duplicate of posX (the Fig. 15 pruning example).
-		"roll": g.state.PosX*0.95 + 0.01,
+		"roll": float64(g.state.PosX*0.95) + 0.01,
 		// angle is exposed in degrees, as TORCS telemetry does.
 		"angle":  g.state.Heading * 180 / math.Pi,
 		"speedX": g.state.Speed,
 		// accX is near-constant at cruise (the Fig. 16 pruning example).
-		"accX":     9.8 + 0.001*math.Sin(float64(g.state.Steps)),
+		"accX":     9.8 + float64(0.001*math.Sin(float64(g.state.Steps))),
 		"trackPos": g.state.PosX / halfWidth,
 		// Curvatures are exposed in percent (100/radius), the usual
 		// telemetry scaling.
@@ -154,9 +154,9 @@ func (g *Game) StateVars() map[string]float64 {
 		"wallDistL": halfWidth + g.state.PosX,
 		"wallDistR": halfWidth - g.state.PosX,
 		"steps":     float64(g.state.Steps),
-		"rpm":       900 + 50*g.state.Speed, // constant at fixed speed
-		"gear":      3,                      // constant
-		"fuel":      100 - 0.001*float64(g.state.Steps),
+		"rpm":       900 + float64(50*g.state.Speed), // constant at fixed speed
+		"gear":      3,                               // constant
+		"fuel":      100 - float64(0.001*float64(g.state.Steps)),
 		"damage":    0, // constant
 		"lapTime":   float64(g.state.Steps) * 0.02,
 		"posXdup":   g.state.PosX, // exact duplicate
@@ -169,14 +169,14 @@ func (g *Game) Screen() *imaging.Image {
 	// Perspective road: for each screen row (bottom = near), compute
 	// the road center from accumulated curvature and draw the walls.
 	for row := 0; row < 64; row++ {
-		dist := float64(row) * 0.8 // look-ahead distance for this row
+		dist := float64(float64(row) * 0.8) // look-ahead distance for this row
 		y := 63 - row
 		curv := g.curvatureAt(g.state.Pos + dist)
-		centerShift := -g.state.PosX - curv*dist*dist*0.4
+		centerShift := -g.state.PosX - float64(curv*dist*dist*0.4)
 		width := 30.0 * (1 - float64(row)/80.0)
-		cx := 32 + centerShift*(width/halfWidth)/2
-		l := int(cx - width/2)
-		r := int(cx + width/2)
+		cx := 32 + float64(centerShift*(width/halfWidth)/2)
+		l := int(cx - float64(width/2))
+		r := int(cx + float64(width/2))
 		for x := 0; x < 64; x++ {
 			switch {
 			case x == l || x == r:
@@ -270,8 +270,8 @@ func ScriptedPlayer(e env.Env) int {
 	vars := e.StateVars()
 	// Desired correction combines the current offset and the upcoming
 	// curvature-induced drift.
-	desired := -vars["posX"]*0.5 - (vars["curvNext"]/100)*25
-	err := desired - (vars["angle"]*math.Pi/180)*3
+	desired := float64(-vars["posX"]*0.5) - float64((vars["curvNext"]/100)*25)
+	err := desired - float64((vars["angle"]*math.Pi/180)*3)
 	switch {
 	case err < -0.08:
 		return ActLeft

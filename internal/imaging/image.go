@@ -110,7 +110,7 @@ func GaussianSmooth(im *Image, sigma float64) *Image {
 		for x := 0; x < im.W; x++ {
 			sum := 0.0
 			for i, kv := range k {
-				sum += kv * im.At(x+i-radius, y)
+				sum += float64(kv * im.At(x+i-radius, y))
 			}
 			tmp.Pix[y*im.W+x] = sum
 		}
@@ -120,7 +120,7 @@ func GaussianSmooth(im *Image, sigma float64) *Image {
 		for x := 0; x < im.W; x++ {
 			sum := 0.0
 			for i, kv := range k {
-				sum += kv * tmp.At(x, y+i-radius)
+				sum += float64(kv * tmp.At(x, y+i-radius))
 			}
 			out.Pix[y*im.W+x] = sum
 		}

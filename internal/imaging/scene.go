@@ -70,7 +70,7 @@ func GenerateScene(rng *stats.RNG, cfg SceneConfig) *Scene {
 
 	nShapes := cfg.MinShapes + rng.Intn(cfg.MaxShapes-cfg.MinShapes+1)
 	for s := 0; s < nShapes; s++ {
-		level := background + fgDelta*rng.Range(0.6, 1.0)
+		level := background + float64(fgDelta*rng.Range(0.6, 1.0))
 		switch rng.Intn(3) {
 		case 0:
 			drawRect(img, truth, rng, level)
@@ -83,7 +83,7 @@ func GenerateScene(rng *stats.RNG, cfg SceneConfig) *Scene {
 
 	noise := rng.Range(1, cfg.MaxNoise)
 	for i := range img.Pix {
-		img.Pix[i] += rng.NormFloat64() * noise
+		img.Pix[i] += float64(rng.NormFloat64() * noise)
 	}
 	img.Clamp255()
 

@@ -47,16 +47,16 @@ func windowSSIM(a, b *Image, x0, y0, win int, c1, c2 float64) float64 {
 		for x := x0; x < x0+win; x++ {
 			da := a.At(x, y) - muA
 			db := b.At(x, y) - muB
-			varA += da * da
-			varB += db * db
-			cov += da * db
+			varA += float64(da * da)
+			varB += float64(db * db)
+			cov += float64(da * db)
 		}
 	}
 	varA /= n - 1
 	varB /= n - 1
 	cov /= n - 1
-	return ((2*muA*muB + c1) * (2*cov + c2)) /
-		((muA*muA + muB*muB + c1) * (varA + varB + c2))
+	return (float64(2*muA*muB) + c1) * (float64(2*cov) + c2) /
+		((float64(muA*muA) + float64(muB*muB) + c1) * (varA + varB + c2))
 }
 
 // EdgeF1 scores a binary edge map against ground truth with the F1

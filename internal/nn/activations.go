@@ -138,7 +138,7 @@ func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	out := t.grad.get(gradOut.Shape()...)
 	od := out.Data()
 	for i, g := range gradOut.Data() {
-		od[i] = g * (1 - y[i]*y[i])
+		od[i] = g * (1 - float64(y[i]*y[i]))
 	}
 	return out
 }

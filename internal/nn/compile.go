@@ -303,53 +303,7 @@ type opPool struct {
 }
 
 func (o *opPool) run(in []float64) []float64 {
-	c := o.c
-	if c.size == 2 {
-		// The dominant CNN case (2×2 pool) unrolled: same comparison
-		// order as the general loop — (0,0),(0,1),(1,0),(1,1) against a
-		// -Inf start with strict >, so NaN never wins — hence
-		// bit-identical, without the window-loop overhead.
-		for ch := 0; ch < c.c; ch++ {
-			for oy := 0; oy < c.oh; oy++ {
-				r0 := in[(ch*c.h+2*oy)*c.w:]
-				r1 := in[(ch*c.h+2*oy+1)*c.w:]
-				orow := o.out[(ch*c.oh+oy)*c.ow:]
-				for ox := 0; ox < c.ow; ox++ {
-					best := math.Inf(-1)
-					if v := r0[2*ox]; v > best {
-						best = v
-					}
-					if v := r0[2*ox+1]; v > best {
-						best = v
-					}
-					if v := r1[2*ox]; v > best {
-						best = v
-					}
-					if v := r1[2*ox+1]; v > best {
-						best = v
-					}
-					orow[ox] = best
-				}
-			}
-		}
-		return o.out
-	}
-	for ch := 0; ch < c.c; ch++ {
-		for oy := 0; oy < c.oh; oy++ {
-			for ox := 0; ox < c.ow; ox++ {
-				best := math.Inf(-1)
-				for dy := 0; dy < c.size; dy++ {
-					for dx := 0; dx < c.size; dx++ {
-						iy, ix := oy*c.size+dy, ox*c.size+dx
-						if v := in[(ch*c.h+iy)*c.w+ix]; v > best {
-							best = v
-						}
-					}
-				}
-				o.out[(ch*c.oh+oy)*c.ow+ox] = best
-			}
-		}
-	}
+	maxPool(in, o.out, nil, o.c.c, o.c.h, o.c.w, o.c.size)
 	return o.out
 }
 

@@ -40,7 +40,7 @@ type Conv2D struct {
 
 	// The output and the input gradient are arena buffers (see buf),
 	// valid until the next call on this layer or Network.Release;
-	// gradWProd views arena scratch for the per-image gradW product.
+	// gradWProd views arena scratch for the minibatch's gradW product.
 	out, gradIn buf
 	gradWProd   *tensor.Tensor
 }
@@ -65,10 +65,10 @@ func NewConv2D(inC, outC, kh, kw, stride, pad int, rng *stats.RNG) *Conv2D {
 	return c
 }
 
-// Forward convolves a (InC, H, W) image to (OutC, outH, outW), or each
-// image of a (B, InC, H, W) batch in ascending order to
-// (B, OutC, outH, outW). The input must stay unchanged until the
-// matching Backward (see lastIn).
+// Forward convolves a (InC, H, W) image to (OutC, outH, outW), or a
+// (B, InC, H, W) batch to (B, OutC, outH, outW) as one implicit GEMM
+// (tensor.ConvKernel). The input must stay unchanged until the matching
+// Backward (see lastIn).
 func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	rows, batched, chw := imageRows(in, "Conv2D")
 	if chw[0] != c.InC {
@@ -80,22 +80,18 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	}
 	g := c.geom()
 	n := g.OutH * g.OutW
-	inPer, outPer := c.InC*g.InH*g.InW, c.OutC*n
 	c.lastIn = in
 	out := c.out.getRows(batched, rows, c.OutC, g.OutH, g.OutW)
-	od, id := out.Data(), in.Data()
+	od := out.Data()
+	c.kern.Forward(od, in.Data(), c.weights.Data())
+	// Add per-output-channel bias after the product, exactly like the
+	// im2col reference (bias never enters the FMA fold).
 	bd := c.bias.Data()
-	for r := 0; r < rows; r++ {
-		o := od[r*outPer : (r+1)*outPer]
-		c.kern.Forward(o, id[r*inPer:(r+1)*inPer], c.weights.Data()) // (OutC, outH*outW)
-		// Add per-output-channel bias after the product, exactly like
-		// the im2col reference (bias never enters the FMA fold).
-		for oc := 0; oc < c.OutC; oc++ {
-			b := bd[oc]
-			row := o[oc*n : (oc+1)*n]
-			for i := range row {
-				row[i] += b
-			}
+	for r := 0; r < rows*c.OutC; r++ {
+		b := bd[r%c.OutC]
+		row := od[r*n : (r+1)*n]
+		for i := range row {
+			row[i] += b
 		}
 	}
 	return out
@@ -112,46 +108,38 @@ func (c *Conv2D) geom() tensor.ConvGeom {
 
 // Backward accumulates weight/bias gradients and returns the input
 // gradient via the fused implicit-GEMM adjoints (no column matrix, no
-// column-gradient matrix), one image at a time in ascending order.
+// column-gradient matrix), one product per pass over the whole batch.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if !live(c.lastIn) {
 		auerr.Failf("nn: Conv2D Backward before Forward")
 	}
 	g := c.geom()
 	n := g.OutH * g.OutW
-	inPer, outPer := c.InC*g.InH*g.InW, c.OutC*n
-	rows := c.lastIn.Size() / inPer
-	if gradOut.Size() != rows*outPer {
-		auerr.Failf("nn: Conv2D Backward expects %d grads, got %d", rows*outPer, gradOut.Size())
+	rows := c.lastIn.Size() / (c.InC * g.InH * g.InW)
+	if gradOut.Size() != rows*c.OutC*n {
+		auerr.Failf("nn: Conv2D Backward expects %d grads, got %d", rows*c.OutC*n, gradOut.Size())
 	}
 	gd := gradOut.Data()
-	id := c.lastIn.Data()
 	gradIn := c.gradIn.get(c.lastIn.Shape()...)
-	gi := gradIn.Data()
-	// Per image: dL/dW += g × im2col(in)ᵀ, gathered implicitly. The
-	// per-image product is formed from zero and then added (not chained
-	// through the accumulator), so the fold does not depend on the batch
-	// size. dL/dinput = col2im(Wᵀ × g), scattered directly from the
-	// kernel's per-channel stripes.
+	// dL/dW += g × im2col(in)ᵀ, gathered implicitly: one fold per
+	// element over the batch's columns (position-major, image-minor),
+	// formed from zero and then added to the accumulator. dL/dinput =
+	// col2im(Wᵀ × g), scattered directly from the kernel's stripes.
 	pw := tensor.Scratch.Get(c.gradW.Size())
 	c.gradWProd = tensor.ViewOf(c.gradWProd, *pw, c.OutC, c.InC*c.KH*c.KW)
-	prod := c.gradWProd
-	gb := c.gradB.Data()
-	for r := 0; r < rows; r++ {
-		gr := gd[r*outPer : (r+1)*outPer]
-		c.kern.Backward(prod.Data(), gi[r*inPer:(r+1)*inPer], id[r*inPer:(r+1)*inPer], c.weights.Data(), gr)
-		c.gradW.AddInPlace(prod)
-		// dL/db = row sums of g
-		for oc := 0; oc < c.OutC; oc++ {
-			sum := 0.0
-			for _, v := range gr[oc*n : (oc+1)*n] {
-				sum += v
-			}
-			gb[oc] += sum
-		}
-	}
+	c.kern.Backward(c.gradWProd.Data(), gradIn.Data(), c.lastIn.Data(), c.weights.Data(), gd)
+	c.gradW.AddInPlace(c.gradWProd)
 	tensor.Scratch.Put(pw)
 	clearView(c.gradWProd)
+	// dL/db = row sums of g, image by image in ascending order.
+	gb := c.gradB.Data()
+	for r := 0; r < rows*c.OutC; r++ {
+		sum := 0.0
+		for _, v := range gd[r*n : (r+1)*n] {
+			sum += v
+		}
+		gb[r%c.OutC] += sum
+	}
 	return gradIn
 }
 
@@ -208,23 +196,6 @@ func (m *MaxPool2D) pooledDims(chw []int) (oh, ow int) {
 	return oh, ow
 }
 
-// window returns the maximum of the pooling window at (oy, ox) of a
-// w-wide plane and its flat index in the plane: the first element
-// strictly greater than a -Inf start, so NaN never wins. The index is -1
-// when nothing beats -Inf (an all-NaN or all -Inf window).
-func (m *MaxPool2D) window(plane []float64, w, oy, ox int) (float64, int) {
-	best, bestIdx := math.Inf(-1), -1
-	for dy := 0; dy < m.Size; dy++ {
-		for dx := 0; dx < m.Size; dx++ {
-			idx := (oy*m.Size+dy)*w + ox*m.Size + dx
-			if v := plane[idx]; v > best {
-				best, bestIdx = v, idx
-			}
-		}
-	}
-	return best, bestIdx
-}
-
 // Forward max-pools each channel of each image with a size×size window
 // and stride equal to the window size. Ragged edges truncate.
 func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
@@ -233,15 +204,7 @@ func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	oh, ow := m.pooledDims(chw)
 	m.lastIn = in
 	out := m.out.getRows(batched, rows, c, oh, ow)
-	od, id := out.Data(), in.Data()
-	for p := 0; p < rows*c; p++ {
-		plane := id[p*h*w : (p+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				od[(p*oh+oy)*ow+ox], _ = m.window(plane, w, oy, ox)
-			}
-		}
-	}
+	maxPool(in.Data(), out.Data(), nil, rows*c, h, w, m.Size)
 	return out
 }
 
@@ -261,24 +224,65 @@ func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	gradIn := m.gradIn.get(s...)
 	gradIn.Fill(0)
-	gi, id, g := gradIn.Data(), m.lastIn.Data(), gradOut.Data()
+	maxPool(m.lastIn.Data(), gradOut.Data(), gradIn.Data(), planes, h, w, m.Size)
+	return gradIn
+}
+
+// maxPool is the one max-pooling routine, shared by MaxPool2D and the
+// compiled plan. It visits the size×size windows (stride size, ragged
+// edges truncated) of planes h×w planes of in in output order and picks
+// each window's first element strictly greater than a -Inf start,
+// scanning row by row — so NaN never wins, and a window of only NaN or
+// -Inf has no winner and a -Inf maximum. With route nil it stores each
+// maximum in out. Otherwise out holds the output gradient, and each
+// window adds its element to route at the winner's position (nothing
+// for a window without one): the backward pass, re-finding the winners
+// instead of keeping an argmax table.
+func maxPool(in, out, route []float64, planes, h, w, size int) {
+	oh, ow := h/size, w/size
+	o := 0
 	for p := 0; p < planes; p++ {
-		plane := id[p*h*w : (p+1)*h*w]
+		plane := in[p*h*w : (p+1)*h*w]
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				if _, idx := m.window(plane, w, oy, ox); idx >= 0 {
-					gi[p*h*w+idx] += g[(p*oh+oy)*ow+ox]
+			for ox := 0; ox < ow; ox, o = ox+1, o+1 {
+				best, idx := math.Inf(-1), -1
+				if i := oy*size*w + ox*size; size == 2 {
+					// The dominant CNN case, unrolled in the same order.
+					best, idx = poolStep(best, idx, plane, i)
+					best, idx = poolStep(best, idx, plane, i+1)
+					best, idx = poolStep(best, idx, plane, i+w)
+					best, idx = poolStep(best, idx, plane, i+w+1)
+				} else {
+					for dy := 0; dy < size; dy, i = dy+1, i+w {
+						for dx := 0; dx < size; dx++ {
+							best, idx = poolStep(best, idx, plane, i+dx)
+						}
+					}
+				}
+				switch {
+				case route == nil:
+					out[o] = best
+				case idx >= 0:
+					route[p*h*w+idx] += out[o]
 				}
 			}
 		}
 	}
-	return gradIn
 }
 
 func (m *MaxPool2D) release() {
 	m.out.release()
 	m.gradIn.release()
 	m.lastIn = nil
+}
+
+// poolStep is one comparison of maxPool's scan: plane[i] replaces the
+// running maximum only when strictly greater (never when NaN).
+func poolStep(best float64, idx int, plane []float64, i int) (float64, int) {
+	if v := plane[i]; v > best {
+		return v, i
+	}
+	return best, idx
 }
 
 // Name implements Layer.

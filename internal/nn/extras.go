@@ -175,7 +175,7 @@ func (r *RMSProp) Step(grads []*tensor.Tensor) {
 		c := r.cache[i].Data()
 		pd := p.Data()
 		for j := range pd {
-			c[j] = r.Decay*c[j] + (1-r.Decay)*g[j]*g[j]
+			c[j] = float64(r.Decay*c[j]) + float64((1-r.Decay)*g[j]*g[j])
 			pd[j] -= r.LR * g[j] / (math.Sqrt(c[j]) + r.Eps)
 		}
 	}

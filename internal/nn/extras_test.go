@@ -78,7 +78,9 @@ func TestDropoutBackwardUsesMask(t *testing.T) {
 	in := tensor.New(100)
 	in.Fill(1)
 	out := d.Forward(in)
-	g := d.Backward(tensor.FromSlice(make([]float64, 100), 100).Apply(func(float64) float64 { return 1 }))
+	ones := tensor.New(100)
+	ones.Fill(1)
+	g := d.Backward(ones)
 	for i := range g.Data() {
 		if (out.Data()[i] == 0) != (g.Data()[i] == 0) {
 			t.Fatal("gradient mask does not match forward mask")

@@ -119,7 +119,7 @@ func (h Huber) Loss(pred, target *tensor.Tensor) float64 {
 		if e <= d {
 			return 0.5 * e * e
 		}
-		return d * (e - 0.5*d)
+		return d * (e - float64(0.5*d))
 	})
 }
 

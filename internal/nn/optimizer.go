@@ -63,12 +63,12 @@ func (s *SGD) Step(grads []*tensor.Tensor) {
 		if s.velocity != nil {
 			v := s.velocity[i]
 			for j := range v.Data() {
-				v.Data()[j] = s.Momentum*v.Data()[j] + g.Data()[j]
+				v.Data()[j] = float64(s.Momentum*v.Data()[j]) + g.Data()[j]
 			}
 			g = v
 		}
 		for j := range p.Data() {
-			p.Data()[j] -= s.LR * g.Data()[j]
+			p.Data()[j] -= float64(s.LR * g.Data()[j])
 		}
 	}
 }
@@ -119,8 +119,8 @@ func (a *Adam) Step(grads []*tensor.Tensor) {
 		v := a.v[i].Data()
 		pd := p.Data()
 		for j := range pd {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g[j])
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g[j]*g[j])
 			mhat := m[j] / c1
 			vhat := v[j] / c2
 			pd[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
@@ -141,7 +141,7 @@ func ClipGradients(grads []*tensor.Tensor, maxNorm float64) {
 	total := 0.0
 	for _, g := range grads {
 		n := g.L2Norm()
-		total += n * n
+		total += float64(n * n)
 	}
 	norm := math.Sqrt(total)
 	if norm <= maxNorm {

@@ -126,7 +126,7 @@ func (m *DriftMonitor) Record(model string, predicted, observed []float64) (Drif
 	var loss float64
 	for i, p := range predicted {
 		d := p - observed[i]
-		loss += d * d
+		loss += float64(d * d)
 	}
 	loss /= float64(len(predicted))
 	return m.recordAt(model, loss, time.Now().UnixNano()), nil

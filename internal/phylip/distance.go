@@ -170,7 +170,7 @@ func correctedDistance(bigP, bigQ float64, p Params) (float64, bool) {
 	gammaLog := func(x float64) float64 {
 		return p.GammaAlpha * (math.Pow(x, -1/p.GammaAlpha) - 1)
 	}
-	dist := 0.5*gammaLog(x1) + 0.25*gammaLog(x2)
+	dist := float64(0.5*gammaLog(x1)) + float64(0.25*gammaLog(x2))
 	if dist > p.MaxDist || math.IsNaN(dist) || math.IsInf(dist, 0) {
 		return p.MaxDist, true
 	}

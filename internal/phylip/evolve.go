@@ -71,7 +71,7 @@ func Evolve(rng *stats.RNG, cfg EvolveConfig) *Dataset {
 		a, b int
 		len  float64
 	}
-	branch := func() float64 { return cfg.MeanBranch * (0.25 + 1.5*rng.Float64()) }
+	branch := func() float64 { return cfg.MeanBranch * (0.25 + float64(1.5*rng.Float64())) }
 	edges := []edge{}
 	if n < 3 {
 		if n == 2 {
@@ -143,12 +143,12 @@ func evolveBase(rng *stats.RNG, base byte, t, kappa float64) byte {
 	// beta, normalized so total substitution rate = 1 per unit t:
 	// kappa*beta + 2*beta = 1.
 	beta := 1 / (kappa + 2)
-	alpha := kappa * beta
+	alpha := float64(kappa * beta)
 	// Probabilities after time t (standard K2P solution):
-	e1 := math.Exp(-4 * beta * t)           // controls transversions
-	e2 := math.Exp(-2 * (alpha + beta) * t) // controls transitions
-	pTransversionEach := 0.25 * (1 - e1)    // to each of 2 transversion targets
-	pTransition := 0.25 + 0.25*e1 - 0.5*e2  // to the transition target
+	e1 := math.Exp(-4 * beta * t)                            // controls transversions
+	e2 := math.Exp(-2 * (alpha + beta) * t)                  // controls transitions
+	pTransversionEach := float64(0.25 * (1 - e1))            // to each of 2 transversion targets
+	pTransition := 0.25 + float64(0.25*e1) - float64(0.5*e2) // to the transition target
 	pSame := 1 - pTransition - 2*pTransversionEach
 
 	u := rng.Float64()
@@ -197,16 +197,16 @@ func gammaSample(rng *stats.RNG, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -48,7 +48,7 @@ func NeighborJoin(d [][]float64) (*Tree, error) {
 		first := true
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				q := float64(m-2)*dist[i][j] - r[i] - r[j]
+				q := float64(float64(m-2)*dist[i][j]) - r[i] - r[j]
 				if first || q < bestQ {
 					first = false
 					bestQ = q
@@ -58,7 +58,7 @@ func NeighborJoin(d [][]float64) (*Tree, error) {
 		}
 		// Branch lengths to the new internal node.
 		dij := dist[bestI][bestJ]
-		li := 0.5*dij + (r[bestI]-r[bestJ])/(2*float64(m-2))
+		li := float64(0.5*dij) + (r[bestI]-r[bestJ])/(2*float64(m-2))
 		lj := dij - li
 		if li < 0 {
 			li = 0

@@ -160,7 +160,7 @@ func (a *Agent) Epsilon() float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	return a.cfg.EpsilonStart + (a.cfg.EpsilonEnd-a.cfg.EpsilonStart)*frac
+	return a.cfg.EpsilonStart + float64((a.cfg.EpsilonEnd-a.cfg.EpsilonStart)*frac)
 }
 
 // Steps reports how many transitions the agent has observed.
@@ -313,7 +313,7 @@ func (a *Agent) bootstrapValues(nexts *tensor.Tensor) {
 		y := tr.Reward
 		if !tr.Terminal {
 			best := q[i*acts+stats.ArgMax(choose[i*acts:(i+1)*acts])]
-			y += a.cfg.Gamma * best
+			y += float64(a.cfg.Gamma * best)
 		}
 		a.bootstrap = append(a.bootstrap, y)
 	}

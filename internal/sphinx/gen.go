@@ -117,7 +117,7 @@ func Generate(rng *stats.RNG, cfg GenConfig) *Utterance {
 	}
 	// Additive noise over everything.
 	for i := range samples {
-		samples[i] += rng.NormFloat64() * noise
+		samples[i] += float64(rng.NormFloat64() * noise)
 	}
 	return &Utterance{Samples: samples, Words: words, NoiseFloor: noise, Rate: rate}
 }

@@ -139,10 +139,10 @@ func analyze(samples []float64) ([]frame, []float64) {
 			// Projection onto the band's sin/cos pair.
 			var sinSum, cosSum float64
 			for i, s := range chunk {
-				sinSum += s * math.Sin(bandFreqs[b]*float64(i))
-				cosSum += s * math.Cos(bandFreqs[b]*float64(i))
+				sinSum += float64(s * math.Sin(bandFreqs[b]*float64(i)))
+				cosSum += float64(s * math.Cos(bandFreqs[b]*float64(i)))
 			}
-			e := (sinSum*sinSum + cosSum*cosSum) / float64(FrameLen)
+			e := float64((float64(sinSum*sinSum) + float64(cosSum*cosSum)) / float64(FrameLen))
 			frames[f][b] = e
 			total += e
 		}
@@ -158,7 +158,7 @@ func energyHistogram(energies []float64) []float64 {
 	if maxE <= 0 {
 		maxE = 1
 	}
-	return stats.Histogram(energies, 16, 0, maxE*(1+1e-9))
+	return stats.Histogram(energies, 16, 0, float64(maxE*(1+1e-9)))
 }
 
 // segment returns [start, end) frame ranges whose energy exceeds the
@@ -235,7 +235,7 @@ func dtw(a, b []frame, band int) float64 {
 		var s float64
 		for i := range x {
 			d := x[i] - y[i]
-			s += d * d
+			s += float64(d * d)
 		}
 		return s
 	}
@@ -337,7 +337,7 @@ func Score(hyp, truth []int) float64 {
 	l := lcs(hyp, truth)
 	correct := float64(l)
 	insertions := float64(len(hyp) - l)
-	acc := (correct - 0.5*insertions) / float64(len(truth))
+	acc := (correct - float64(0.5*insertions)) / float64(len(truth))
 	return stats.Clamp(acc, 0, 1)
 }
 
@@ -385,7 +385,7 @@ func ParamsToVector(p Params) []float64 {
 
 // VectorToParams inverts ParamsToVector with clamping.
 func VectorToParams(v []float64) Params {
-	return Params{VadThreshold: v[0], WarpBand: int(v[1]*32 + 0.5)}.Clamp()
+	return Params{VadThreshold: v[0], WarpBand: int(float64(v[1]*32) + 0.5)}.Clamp()
 }
 
 // FeatureVector returns the Min feature encoding: the energy histogram

@@ -68,7 +68,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniformly distributed value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
@@ -84,9 +84,9 @@ func (r *RNG) Intn(n int) int {
 // standard deviation 1, using the Marsaglia polar method.
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -95,7 +95,7 @@ func (r *RNG) NormFloat64() float64 {
 
 // Range returns a uniformly distributed value in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -36,7 +36,7 @@ func Variance(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs))
 }
@@ -112,7 +112,7 @@ func EuclideanDistance(a, b []float64) float64 {
 			bv = b[i]
 		}
 		d := av - bv
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

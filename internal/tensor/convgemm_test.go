@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,6 +124,148 @@ func TestConvKernelBitIdentical(t *testing.T) {
 					t.Fatalf("%s/%s/w%d gradIn: elem %d = %x, want %x",
 						tc.name, impl.name, workers, i,
 						math.Float64bits(gradIn[i]), math.Float64bits(wantGradIn.Data()[i]))
+				}
+			}
+		}
+	}
+}
+
+// batchLowering is the materialized reference for a minibatch: the
+// concatenated (K × N·B) column matrix in the documented column order
+// j = pos·B + b (output position major, image minor), and g_out
+// (B, OutC, N) rearranged into the same (OutC × N·B) order.
+func batchLowering(tc convCase, in, gout []float64, batch int) (cols, g *Tensor) {
+	k := tc.inC * tc.kh * tc.kw
+	img := tc.inC * tc.inH * tc.inW
+	var n int
+	for b := 0; b < batch; b++ {
+		one := FromSlice(append([]float64(nil), in[b*img:(b+1)*img]...), tc.inC, tc.inH, tc.inW)
+		c := Im2Col(one, tc.kh, tc.kw, tc.stride, tc.pad)
+		n = c.Shape()[1]
+		if cols == nil {
+			cols, g = New(k, n*batch), New(tc.outC, n*batch)
+		}
+		for kk := 0; kk < k; kk++ {
+			for pos := 0; pos < n; pos++ {
+				cols.Data()[kk*n*batch+pos*batch+b] = c.Data()[kk*n+pos]
+			}
+		}
+		for oc := 0; oc < tc.outC; oc++ {
+			for pos := 0; pos < n; pos++ {
+				g.Data()[oc*n*batch+pos*batch+b] = gout[(b*tc.outC+oc)*n+pos]
+			}
+		}
+	}
+	return cols, g
+}
+
+// TestConvKernelBatchBitIdentical drives minibatch Forward/Backward over
+// the geometry table at batch sizes {1, 3, 32}, every implementation
+// and widths {1, 2, 8}, against the materialized reference over the
+// concatenated minibatch lowering (batchLowering's column order):
+// forward W × cols and gradW = g × colsᵀ fold over those columns
+// exactly as MatMulNaiveInto and MatMulABTInto do, and each image's
+// input gradient is Col2ImInto of its own columns of Wᵀ × g.
+func TestConvKernelBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range convCases {
+		g := NewConvGeom(tc.inC, tc.inH, tc.inW, tc.kh, tc.kw, tc.stride, tc.pad, tc.outC)
+		k, n := g.K(), g.Cols()
+		img := tc.inC * tc.inH * tc.inW
+		for _, batch := range []int{1, 3, 32} {
+			in := make([]float64, batch*img)
+			w := make([]float64, tc.outC*k)
+			gout := make([]float64, batch*tc.outC*n)
+			seedConv(in, rng)
+			seedConv(w, rng)
+			seedConv(gout, rng)
+			wT := FromSlice(w, tc.outC, k)
+			cols, gT := batchLowering(tc, in, gout, batch)
+			wantOut := MatMulNaiveInto(New(tc.outC, n*batch), wT, cols)
+			wantGradW := MatMulABTInto(New(tc.outC, k), gT, cols)
+			gradCols := MatMulATBInto(New(k, n*batch), wT, gT)
+			wantGradIn := make([]float64, batch*img)
+			for b := 0; b < batch; b++ {
+				one := New(k, n)
+				for kk := 0; kk < k; kk++ {
+					for pos := 0; pos < n; pos++ {
+						one.Data()[kk*n+pos] = gradCols.Data()[kk*n*batch+pos*batch+b]
+					}
+				}
+				gi := Col2Im(one, tc.inC, tc.inH, tc.inW, tc.kh, tc.kw, tc.stride, tc.pad)
+				copy(wantGradIn[b*img:], gi.Data())
+			}
+			for _, impl := range convImpls() {
+				ck := newConvKernel(g, impl)
+				for _, workers := range []int{1, 2, 8} {
+					prev := parallel.SetWorkers(workers)
+					out := make([]float64, batch*tc.outC*n)
+					gradW := make([]float64, tc.outC*k)
+					gradIn := make([]float64, batch*img)
+					ck.Forward(out, in, w)
+					ck.Backward(gradW, gradIn, in, w, gout)
+					parallel.SetWorkers(prev)
+					name := fmt.Sprintf("%s/b%d/%s/w%d", tc.name, batch, impl.name, workers)
+					for b := 0; b < batch; b++ {
+						for oc := 0; oc < tc.outC; oc++ {
+							for pos := 0; pos < n; pos++ {
+								got := out[(b*tc.outC+oc)*n+pos]
+								want := wantOut.Data()[oc*n*batch+pos*batch+b]
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s forward image %d channel %d pos %d: %x, want %x",
+										name, b, oc, pos, math.Float64bits(got), math.Float64bits(want))
+								}
+							}
+						}
+					}
+					if i := diffBits(gradW, wantGradW.Data()); i >= 0 {
+						t.Fatalf("%s gradW: elem %d = %x, want %x", name, i,
+							math.Float64bits(gradW[i]), math.Float64bits(wantGradW.Data()[i]))
+					}
+					if i := diffBits(gradIn, wantGradIn); i >= 0 {
+						t.Fatalf("%s gradIn: elem %d = %x, want %x", name, i,
+							math.Float64bits(gradIn[i]), math.Float64bits(wantGradIn[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvKernelBatchMatchesPerImage pins the batch-independence half of
+// the contract: a minibatch's forward output and input gradient are
+// bit-equal, image by image, to calls on each image alone (neither fold
+// involves the batch), for every implementation.
+func TestConvKernelBatchMatchesPerImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const batch = 5
+	for _, tc := range convCases {
+		g := NewConvGeom(tc.inC, tc.inH, tc.inW, tc.kh, tc.kw, tc.stride, tc.pad, tc.outC)
+		k, n := g.K(), g.Cols()
+		img, outLen := tc.inC*tc.inH*tc.inW, tc.outC*n
+		in := make([]float64, batch*img)
+		w := make([]float64, tc.outC*k)
+		gout := make([]float64, batch*outLen)
+		seedConv(in, rng)
+		seedConv(w, rng)
+		seedConv(gout, rng)
+		for _, impl := range convImpls() {
+			ck := newConvKernel(g, impl)
+			out := make([]float64, batch*outLen)
+			gradIn := make([]float64, batch*img)
+			gradW := make([]float64, tc.outC*k)
+			ck.Forward(out, in, w)
+			ck.Backward(gradW, gradIn, in, w, gout)
+			for b := 0; b < batch; b++ {
+				one := make([]float64, outLen)
+				oneIn := make([]float64, img)
+				ck.Forward(one, in[b*img:(b+1)*img], w)
+				ck.Backward(gradW, oneIn, in[b*img:(b+1)*img], w, gout[b*outLen:(b+1)*outLen])
+				if i := diffBits(out[b*outLen:(b+1)*outLen], one); i >= 0 {
+					t.Fatalf("%s/%s image %d forward elem %d differs from the single-image call", tc.name, impl.name, b, i)
+				}
+				if i := diffBits(gradIn[b*img:(b+1)*img], oneIn); i >= 0 {
+					t.Fatalf("%s/%s image %d gradIn elem %d differs from the single-image call", tc.name, impl.name, b, i)
 				}
 			}
 		}

@@ -25,7 +25,7 @@ import (
 )
 
 // kernelImpl is one selectable kernel implementation. All fields are
-// bound once at package init; pack-once callers (PackDense, PackB) bake
+// bound once at package init; pack-once callers (PackDense, PrepackConv) bake
 // the implementation's geometry into their packed buffers, which is safe
 // precisely because the selection never changes after init.
 type kernelImpl struct {

@@ -88,42 +88,6 @@ func TestGEBPBitIdenticalAcrossImpls(t *testing.T) {
 	}
 }
 
-// TestPackedAMulIntoMatchesNaive exercises the pack-once path end to end:
-// PackA + PackB + MulInto must equal the naive reference bit for bit.
-func TestPackedAMulIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range [][3]int{{8, 36, 1024}, {5, 7, 9}, {4, 4, 4}, {1, 3, 2}, {8, 1, 8}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := New(m, k)
-		b := New(k, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64()
-		}
-		for i := range b.Data() {
-			b.Data()[i] = rng.NormFloat64()
-		}
-		pa := PackA(a)
-		packedB := make([]float64, PackedBLen(k, n))
-		PackB(packedB, b)
-		got := pa.MulInto(New(m, n), packedB, n)
-		want := MatMulNaiveInto(New(m, n), a, b)
-		for i, w := range want.Data() {
-			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("%dx%dx%d: elem %d = %v, want %v", m, k, n, i, got.Data()[i], w)
-			}
-		}
-		// Packed weights are a snapshot: mutating a afterwards must not
-		// change the product.
-		a.Data()[0] += 42
-		again := pa.MulInto(New(m, n), packedB, n)
-		for i, w := range want.Data() {
-			if math.Float64bits(again.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("snapshot violated at elem %d", i)
-			}
-		}
-	}
-}
-
 // TestPackedDenseMatchesDot verifies the lane-blocked dense forward is
 // bit-identical to the per-row FMA dot product Σ math.FMA(W[o][k], x[k])
 // (ascending k, from zero) + bias[o] — the Dense layer's GEMM forward —

@@ -158,7 +158,7 @@ func gemm(dst, a, b []float64, m, k, n int, ta, tb bool) {
 		}
 		return
 	}
-	pb := Scratch.Get(PackedBLen(k, n))
+	pb := Scratch.Get((n + kern.nr - 1) / kern.nr * kern.nr * k)
 	if tb {
 		packPanelsT(*pb, b, k, n, kern.nr)
 	} else {

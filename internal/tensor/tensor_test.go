@@ -66,21 +66,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := a.Reshape(4)
-	b.Set(42, 3)
-	if a.At(1, 1) != 42 {
-		t.Error("Reshape did not share data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("bad Reshape did not panic")
-		}
-	}()
-	a.Reshape(3)
-}
-
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
@@ -162,25 +147,13 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(0) != 4 || a.At(1) != 6 {
 		t.Errorf("AddInPlace = %v", a.Data())
 	}
-	a.SubInPlace(b)
-	if a.At(0) != 1 || a.At(1) != 2 {
-		t.Errorf("SubInPlace = %v", a.Data())
-	}
-	a.MulInPlace(b)
-	if a.At(0) != 3 || a.At(1) != 8 {
-		t.Errorf("MulInPlace = %v", a.Data())
-	}
 	a.ScaleInPlace(0.5)
-	if a.At(0) != 1.5 || a.At(1) != 4 {
+	if a.At(0) != 2 || a.At(1) != 3 {
 		t.Errorf("ScaleInPlace = %v", a.Data())
 	}
 	a.Fill(7)
 	if a.At(0) != 7 || a.At(1) != 7 {
 		t.Errorf("Fill = %v", a.Data())
-	}
-	a.Apply(func(x float64) float64 { return x * x })
-	if a.At(0) != 49 {
-		t.Errorf("Apply = %v", a.Data())
 	}
 }
 
@@ -197,9 +170,6 @@ func TestNorms(t *testing.T) {
 	a := FromSlice([]float64{3, -4}, 2)
 	if got := a.L2Norm(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("L2Norm = %v, want 5", got)
-	}
-	if got := a.MaxAbs(); got != 4 {
-		t.Errorf("MaxAbs = %v, want 4", got)
 	}
 }
 

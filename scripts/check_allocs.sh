@@ -20,6 +20,9 @@
 #   DQNObserve      0  (one replayed DQN update at parallel width 1:
 #                       replay sample, batch-major forward/backward,
 #                       Adam step)
+#   DQNObserveRaw   0  (the same update on the Table 3 Raw CNN over
+#                       1x16x16 pixels: batch-major Conv2D, pooling and
+#                       the dense head)
 #
 # Budgets are overridable (MAX_ALLOCS_<NAME>) so a future PR can land a
 # conscious regression without rewriting the gate.
@@ -33,8 +36,9 @@ MAX_ALLOCS_CNNFORWARD="${MAX_ALLOCS_CNNFORWARD:-0}"
 MAX_ALLOCS_CNNFORWARDTRAIN="${MAX_ALLOCS_CNNFORWARDTRAIN:-0}"
 MAX_ALLOCS_TRAINBATCH="${MAX_ALLOCS_TRAINBATCH:-8}"
 MAX_ALLOCS_DQNOBSERVE="${MAX_ALLOCS_DQNOBSERVE:-0}"
+MAX_ALLOCS_DQNOBSERVERAW="${MAX_ALLOCS_DQNOBSERVERAW:-0}"
 
-out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch|DQNObserve)$' \
+out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch|DQNObserve|DQNObserveRaw)$' \
     -benchmem -benchtime 100x -run '^$' ./internal/bench/)
 printf '%s\n' "$out"
 
@@ -63,4 +67,5 @@ check CNNForward "$MAX_ALLOCS_CNNFORWARD"
 check CNNForwardTrain "$MAX_ALLOCS_CNNFORWARDTRAIN"
 check TrainBatch "$MAX_ALLOCS_TRAINBATCH"
 check DQNObserve "$MAX_ALLOCS_DQNOBSERVE"
+check DQNObserveRaw "$MAX_ALLOCS_DQNOBSERVERAW"
 exit "$fail"
