@@ -228,8 +228,8 @@ func BenchmarkKernels(b *testing.B) {
 	})
 
 	b.Run("ServedPredict", func(b *testing.B) {
-		// The serving hot path: one compiled plan replica, exactly what
-		// the engine pool hands to each batch shard.
+		// The serving hot path: one compiled plan instance, exactly what
+		// the engine's predictor runs for each request of a batch.
 		net := benchDNN()
 		plan, err := nn.Compile(net)
 		if err != nil {

@@ -43,7 +43,7 @@ func TestConcurrentConfigDistinctModels(t *testing.T) {
 }
 
 // TestConcurrentInference checks that Predict (per-model lock) and
-// Predictor replicas can run from many goroutines at once, alongside
+// Predictor plan instances can run from many goroutines at once, alongside
 // registry reads and SaveModel, with no data races and consistent
 // outputs.
 func TestConcurrentInference(t *testing.T) {

@@ -554,27 +554,7 @@ func TestLoadModelParamsErrors(t *testing.T) {
 // predict over (C,H,W)-shaped inputs.
 func TestCNNSupervisedPath(t *testing.T) {
 	rt := NewRuntime(Train, 42)
-	err := rt.Config(ModelSpec{
-		Name: "cnn", Type: CNN, Algo: AdamOpt, LR: 1e-3,
-		InputShape: []int{1, 16, 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(43)
-	for i := 0; i < 12; i++ {
-		in := make([]float64, 16*16)
-		bright := float64(i % 2) // label = brightness class
-		for j := range in {
-			in[j] = bright*0.8 + 0.1*rng.Float64()
-		}
-		if err := rt.RecordExample("cnn", in, []float64{bright}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := rt.Fit("cnn", 3, 4); err != nil {
-		t.Fatal(err)
-	}
+	fitCNNModel(t, rt, "cnn")
 	in := make([]float64, 16*16)
 	out, err := rt.Predict("cnn", in)
 	if err != nil {

@@ -43,10 +43,11 @@ type model struct {
 	// is materialized (TS mode loads by name before sizes are known).
 	pendingParams []byte
 
-	// predMu serializes predictions through the shared network, whose
-	// layers cache forward-pass state. Parallel rollouts avoid this lock
-	// entirely by taking private replicas via predictor().
+	// predMu serializes PredictCtx through pred, the model's one
+	// plan-backed predictor (built on first use). Rollouts and serving
+	// skip the lock by taking predictors of their own.
 	predMu sync.Mutex
+	pred   func(in, out []float64) []float64
 
 	// weightsVersion counts weight publications: it is bumped after every
 	// mutation of the network's parameters (materialize, online train
@@ -59,12 +60,9 @@ type model struct {
 
 	// Compiled-plan cache: one shared immutable plan per weights version,
 	// compiled lazily on first use and replaced when the version moves.
-	// planFailed latches compile failure — the architecture is fixed after
-	// materialize, so a network that cannot compile today never will.
 	planMu      sync.Mutex
 	plan        *nn.Plan
 	planVersion uint64
-	planFailed  bool
 }
 
 // bumpWeights records a weight publication, invalidating compiled plans.
@@ -72,38 +70,25 @@ func (m *model) bumpWeights() { m.weightsVersion.Add(1) }
 
 // compiledPlan returns the serving plan for the current weights (and the
 // version it was compiled at), recompiling if training has published new
-// weights since the cached compile. Returns nil when the network's
-// architecture cannot be compiled; callers fall back to network replicas.
-func (m *model) compiledPlan() (*nn.Plan, uint64) {
+// weights since the cached compile. Every layer kind compiles, so the
+// only failure is a network that cannot take the model's input shape (a
+// Builder mistake); it returns an error wrapping auerr.ErrSpecInvalid.
+func (m *model) compiledPlan() (*nn.Plan, uint64, error) {
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
-	if m.planFailed || m.net == nil {
-		return nil, 0
-	}
 	ver := m.weightsVersion.Load()
 	if m.plan == nil || m.planVersion != ver {
-		var shape []int
+		shape := []int{m.inSize}
 		if m.spec.Type == CNN {
 			shape = m.spec.InputShape
 		}
 		p, err := nn.Compile(m.net, shape...)
 		if err != nil {
-			m.planFailed = true
-			return nil, 0
+			return nil, 0, auerr.E(auerr.ErrSpecInvalid, "core: model %q cannot be compiled: %v", m.spec.Name, err)
 		}
 		m.plan, m.planVersion = p, ver
 	}
-	return m.plan, m.planVersion
-}
-
-// planInstance returns a fresh per-goroutine instance of the current
-// compiled plan, or nil when the model cannot be compiled.
-func (m *model) planInstance() (*nn.PlanInstance, uint64) {
-	p, ver := m.compiledPlan()
-	if p == nil {
-		return nil, 0
-	}
-	return p.NewInstance(), ver
+	return m.plan, m.planVersion, nil
 }
 
 func newModel(spec ModelSpec, rng *stats.RNG) *model {
@@ -175,79 +160,57 @@ func (m *model) materialize(inSize, outSize int) error {
 	return nil
 }
 
-// predict runs the network on a flat input vector. The shared network's
-// layers cache forward state, so concurrent callers are serialized; hot
-// concurrent paths should use predictor() instead.
-func (m *model) predict(in []float64) []float64 {
-	m.predMu.Lock()
-	defer m.predMu.Unlock()
+// forward runs the training network on one input: au_NN's answer, from
+// the network its Train-mode step just updated.
+func (m *model) forward(in []float64) []float64 {
 	if m.spec.Type == CNN {
 		return m.net.Predict(in, m.spec.InputShape...)
 	}
 	return m.net.Predict(in)
 }
 
-// predictor returns an inference function backed by a private instance
-// of the model's compiled serving plan (shared packed weights, private
-// scratch), safe to call concurrently with other predictors while no
-// training step is mutating the weights. Each call checks the weights
-// version with one atomic load and recompiles when training has
-// published new weights. Models whose architecture cannot be compiled
-// fall back to a network replica, then to the lock-guarded shared path.
-func (m *model) predictor() func(in []float64) []float64 {
-	if inst, ver := m.planInstance(); inst != nil {
-		return func(in []float64) []float64 {
-			if v := m.weightsVersion.Load(); v != ver {
-				if ni, nv := m.planInstance(); ni != nil {
-					inst, ver = ni, nv
-				}
-			}
-			return inst.Predict(in)
+// predict is PredictCtx's body: the model's one shared predictor, run
+// under predMu.
+func (m *model) predict(in []float64) ([]float64, error) {
+	m.predMu.Lock()
+	defer m.predMu.Unlock()
+	if m.pred == nil {
+		fn, err := m.predictorInto()
+		if err != nil {
+			return nil, err
 		}
+		m.pred = fn
 	}
-	rep, ok := m.net.Replica()
-	if !ok {
-		return m.predict
-	}
-	if m.spec.Type == CNN {
-		shape := m.spec.InputShape
-		return func(in []float64) []float64 { return rep.Predict(in, shape...) }
-	}
-	return func(in []float64) []float64 { return rep.Predict(in) }
+	return m.pred(in, nil), nil
 }
 
-// predictorInto is the destination-passing predictor(): the returned
-// function writes the prediction into out when it has the right length
-// (allocating otherwise) and returns the filled slice. With a compiled
-// plan instance and a correctly sized out, a steady-state call allocates
-// nothing — the serving engine's per-replica closures are built on this.
-func (m *model) predictorInto() func(in, out []float64) []float64 {
-	if inst, ver := m.planInstance(); inst != nil {
-		return func(in, out []float64) []float64 {
-			if v := m.weightsVersion.Load(); v != ver {
-				if ni, nv := m.planInstance(); ni != nil {
-					inst, ver = ni, nv
-				}
+// predictorInto returns the one predictor body every inference call
+// runs: a destination-passing closure over a private instance of the
+// compiled plan (shared packed weights, private scratch). It writes the
+// prediction into out when it has the right length (allocating
+// otherwise) and returns the filled slice; with a correctly sized out a
+// steady-state call allocates nothing. Each call checks the weights
+// version with one atomic load and moves to an instance of the
+// recompiled plan when training has published new weights. Distinct
+// closures may run concurrently while no training step is mutating the
+// weights; one closure is not goroutine-safe.
+func (m *model) predictorInto() (func(in, out []float64) []float64, error) {
+	p, ver, err := m.compiledPlan()
+	if err != nil {
+		return nil, err
+	}
+	inst := p.NewInstance()
+	return func(in, out []float64) []float64 {
+		if m.weightsVersion.Load() != ver {
+			p, v, err := m.compiledPlan()
+			if err != nil {
+				// Only shapes fail a compile, and these compiled before.
+				auerr.Failf("%v", err)
 			}
-			return inst.PredictInto(out, in)
+			inst, ver = p.NewInstance(), v
 		}
-	}
-	rep, ok := m.net.Replica()
-	if !ok {
-		return func(in, out []float64) []float64 {
-			res := m.predict(in)
-			if len(out) == len(res) {
-				copy(out, res)
-				return out
-			}
-			return res
-		}
-	}
-	var shape []int
-	if m.spec.Type == CNN {
-		shape = m.spec.InputShape
-	}
-	return func(in, out []float64) []float64 { return rep.PredictInto(out, in, shape...) }
+		return inst.PredictInto(out, in)
+	}, nil
 }
 
 // slTrainStep performs one online gradient step (the literal TRAIN rule)

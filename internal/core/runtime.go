@@ -44,10 +44,12 @@ import (
 //     mutate per-model learning state and must be confined to a single
 //     training goroutine per model, mirroring the paper's single main
 //     process that transfers control at au_NN points.
-//   - Inference is concurrent: Predict serializes through a per-model
-//     lock, and Predictor hands out lock-free replicas (shared weights,
-//     private activation caches) for parallel rollouts — valid while no
-//     training step is concurrently mutating the weights.
+//   - Inference runs the compiled plan and is concurrent: PredictCtx
+//     serializes through the model's one plan instance under a
+//     per-model lock, and Predictor hands out lock-free plan instances
+//     (shared packed weights, private scratch) for parallel rollouts —
+//     valid while no training step is concurrently mutating the
+//     weights.
 //   - The database store π and the checkpoint manager keep the original
 //     single-goroutine contract.
 type Runtime struct {
@@ -278,7 +280,7 @@ func (rt *Runtime) NNCtx(ctx context.Context, mdName, extName string, wbNames ..
 		m.recordExample(in, target)
 	}
 
-	out := m.predict(in)
+	out := m.forward(in)
 	if len(out)%len(wbNames) != 0 {
 		return auerr.E(auerr.ErrSpecInvalid, "core: model %q output size %d not divisible across %d write-back names",
 			mdName, len(out), len(wbNames))
@@ -534,11 +536,9 @@ func (rt *Runtime) LoadModelParams(mdName string, data []byte) (err error) {
 // CompileModel eagerly builds (or refreshes) the model's compiled
 // serving plan — weights packed into the active kernel layout, scratch
 // geometry pre-sized — so the first prediction pays no packing cost.
-// Predictor and PredictorInto closures then run on instances of that
-// plan. The serving layer calls this at snapshot install, publishing
-// only already-packed engines on hot reload. A model whose architecture
-// cannot be compiled returns an error wrapping auerr.ErrSpecInvalid;
-// predictors for it fall back to network replicas.
+// PredictCtx, Predictor and PredictorInto all run instances of that
+// plan. A Builder network that cannot take the model's input returns an
+// error wrapping auerr.ErrSpecInvalid, as do those three calls.
 func (rt *Runtime) CompileModel(mdName string) (err error) {
 	defer guard(&err)
 	m, ok := rt.getModel(mdName)
@@ -548,10 +548,8 @@ func (rt *Runtime) CompileModel(mdName string) (err error) {
 	if m.net == nil {
 		return auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
 	}
-	if p, _ := m.compiledPlan(); p == nil {
-		return auerr.E(auerr.ErrSpecInvalid, "core: model %q cannot be compiled for serving", mdName)
-	}
-	return nil
+	_, _, err = m.compiledPlan()
+	return err
 }
 
 // SavedModelSizes decodes the input/output sizes from a SaveModel image
@@ -615,10 +613,11 @@ func (rt *Runtime) ModelNames() []string {
 	return out
 }
 
-// PredictCtx runs a supervised model directly on a feature vector
+// PredictCtx runs a model's compiled plan directly on a feature vector
 // without touching π — the fast path used by benchmark harnesses when
-// measuring pure inference cost. A wrong-sized input wraps
-// auerr.ErrSpecInvalid instead of tripping a kernel invariant.
+// measuring pure inference cost. A wrong-sized input, or a Builder
+// network that cannot take the model's input, wraps auerr.ErrSpecInvalid
+// instead of tripping a kernel invariant.
 func (rt *Runtime) PredictCtx(ctx context.Context, mdName string, in []float64) (out []float64, err error) {
 	ctx, tm, sp := rt.tel.begin(ctx, pPredict)
 	defer rt.tel.end(pPredict, tm, sp, &err)
@@ -636,33 +635,19 @@ func (rt *Runtime) PredictCtx(ctx context.Context, mdName string, in []float64) 
 	if len(in) != m.inSize {
 		return nil, auerr.E(auerr.ErrSpecInvalid, "core: model %q expects %d inputs, got %d", mdName, m.inSize, len(in))
 	}
-	return m.predict(in), nil
+	return m.predict(in)
 }
 
-// Predictor returns a standalone inference function for the model,
-// backed by a private network replica (shared weights, private
-// activation caches). Distinct Predictor closures may run concurrently
-// with each other and with Predict, as long as no training step is
-// mutating the model's weights — the fan-out primitive for parallel
-// rollouts.
-func (rt *Runtime) Predictor(mdName string) (fn func(in []float64) []float64, err error) {
-	defer guard(&err)
-	m, ok := rt.getModel(mdName)
-	if !ok {
-		return nil, auerr.E(auerr.ErrUnknownModel, "core: unknown model %q", mdName)
-	}
-	if m.net == nil {
-		return nil, auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
-	}
-	return m.predictor(), nil
-}
-
-// PredictorInto is the destination-passing Predictor: the returned
-// function writes the prediction into out when it has the right length
-// (allocating a fresh slice otherwise) and returns the filled slice. Same
-// concurrency contract as Predictor; with a correctly sized out the
-// steady-state call performs no heap allocation, which is what the
-// serving engine's hot path relies on.
+// PredictorInto returns a standalone, destination-passing inference
+// function for the model, backed by a private instance of its compiled
+// plan (shared packed weights, private scratch). The function writes the
+// prediction into out when it has the right length (allocating a fresh
+// slice otherwise) and returns the filled slice; with a correctly sized
+// out the steady-state call performs no heap allocation, which is what
+// the serving engine's hot path relies on. Distinct functions may run
+// concurrently with each other and with PredictCtx, as long as no
+// training step is mutating the model's weights — the fan-out primitive
+// for parallel rollouts.
 func (rt *Runtime) PredictorInto(mdName string) (fn func(in, out []float64) []float64, err error) {
 	defer guard(&err)
 	m, ok := rt.getModel(mdName)
@@ -672,5 +657,14 @@ func (rt *Runtime) PredictorInto(mdName string) (fn func(in, out []float64) []fl
 	if m.net == nil {
 		return nil, auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
 	}
-	return m.predictorInto(), nil
+	return m.predictorInto()
+}
+
+// Predictor is PredictorInto returning a fresh output slice per call.
+func (rt *Runtime) Predictor(mdName string) (func(in []float64) []float64, error) {
+	fn, err := rt.PredictorInto(mdName)
+	if err != nil {
+		return nil, err
+	}
+	return func(in []float64) []float64 { return fn(in, nil) }, nil
 }

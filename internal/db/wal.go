@@ -33,7 +33,6 @@ type WAL struct {
 	segSize   int64    // bytes in the active segment
 	total     int64    // bytes across all live segments
 	segs      int      // live segment count
-	sinceComp int64    // bytes appended since the last compaction
 	err       error    // sticky first write error
 	recovered *Recovery
 
@@ -301,7 +300,6 @@ func (w *WAL) appendLocked(typ byte, payload []byte) error {
 	}
 	w.segSize += int64(len(frame))
 	w.total += int64(len(frame))
-	w.sinceComp += int64(len(frame))
 	if !w.opts.NoSync {
 		var tm obs.Timer
 		if w.m != nil {

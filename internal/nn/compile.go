@@ -6,7 +6,7 @@
 // are packed into the active kernel's layout exactly once, every buffer
 // is pre-sized from the compile-time shape walk, and the ops run
 // sequentially — parallelism lives above the plan (one instance per
-// goroutine or replica), not inside it — so a steady-state PredictInto
+// goroutine), not inside it — so a steady-state PredictInto
 // performs zero allocations and no scratch-arena traffic.
 //
 // A Plan snapshots the weights: training a network after compiling it
@@ -54,10 +54,10 @@ type planOp interface {
 }
 
 // Compile builds the serving plan for net at the given input shape
-// (omitted shape means a flat vector sized by the first layer). It
-// returns an error when the stack contains a layer kind the compiler
-// does not know or the shape walk fails; callers fall back to the
-// uncompiled network in that case.
+// (omitted shape means a flat vector sized by the first layer). Every
+// layer kind compiles (Layer.lower seals the set), so the only errors are
+// shape errors: an empty network, a missing or non-positive input shape,
+// or a layer that cannot take its input.
 func Compile(net *Network, inShape ...int) (*Plan, error) {
 	if len(net.layers) == 0 {
 		return nil, fmt.Errorf("nn: compile of empty network")
@@ -69,16 +69,15 @@ func Compile(net *Network, inShape ...int) (*Plan, error) {
 		}
 		inShape = []int{d.InSize}
 	}
-	p := &Plan{inShape: append([]int(nil), inShape...), inSize: 1}
 	for _, d := range inShape {
 		if d <= 0 {
 			return nil, fmt.Errorf("nn: compile input shape %v", inShape)
 		}
-		p.inSize *= d
 	}
+	p := &Plan{inShape: append([]int(nil), inShape...), inSize: numel(inShape)}
 	shape := p.inShape
 	for _, l := range net.layers {
-		cl, outShape, err := compileLayer(l, shape)
+		cl, outShape, err := l.lower(shape)
 		if err != nil {
 			return nil, err
 		}
@@ -98,70 +97,85 @@ func Compile(net *Network, inShape ...int) (*Plan, error) {
 		}
 		shape = outShape
 	}
-	p.outSize = 1
-	for _, d := range shape {
-		p.outSize *= d
-	}
+	p.outSize = numel(shape)
 	return p, nil
 }
 
-// compileLayer lowers one layer at the given input shape, returning the
-// shared compile result (nil for identity) and the output shape.
-func compileLayer(l Layer, shape []int) (compiledLayer, []int, error) {
-	size := 1
+// numel is the element count of a shape.
+func numel(shape []int) int {
+	n := 1
 	for _, d := range shape {
-		size *= d
+		n *= d
 	}
-	switch l := l.(type) {
-	case *Dense:
-		if size != l.InSize {
-			return nil, nil, fmt.Errorf("nn: compile dense expects %d inputs, got %v", l.InSize, shape)
-		}
-		return &cDense{pd: tensor.PackDense(l.weights, l.bias)}, []int{l.OutSize}, nil
-	case *Conv2D:
-		if len(shape) != 3 || shape[0] != l.InC {
-			return nil, nil, fmt.Errorf("nn: compile conv2d expects (%d,H,W), got %v", l.InC, shape)
-		}
-		h, w := shape[1], shape[2]
-		outH := tensor.ConvOutputSize(h, l.KH, l.Stride, l.Pad)
-		outW := tensor.ConvOutputSize(w, l.KW, l.Stride, l.Pad)
-		if outH <= 0 || outW <= 0 {
-			return nil, nil, fmt.Errorf("nn: compile conv2d kernel too large for %v", shape)
-		}
-		geom := tensor.NewConvGeom(l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad, l.OutC)
-		return &cConv{
-			pc:   tensor.PrepackConv(l.weights, geom),
-			bias: append([]float64(nil), l.bias.Data()...),
-		}, []int{l.OutC, outH, outW}, nil
-	case *MaxPool2D:
-		if len(shape) != 3 {
-			return nil, nil, fmt.Errorf("nn: compile maxpool expects (C,H,W), got %v", shape)
-		}
-		c, h, w := shape[0], shape[1], shape[2]
-		oh, ow := h/l.Size, w/l.Size
-		if oh == 0 || ow == 0 {
-			return nil, nil, fmt.Errorf("nn: compile maxpool window %d too large for %v", l.Size, shape)
-		}
-		return &cPool{size: l.Size, c: c, h: h, w: w, oh: oh, ow: ow}, []int{c, oh, ow}, nil
-	case *ReLU:
-		return &cMap{kind: mapReLU, size: size}, shape, nil
-	case *LeakyReLU:
-		return &cMap{kind: mapLeakyReLU, alpha: l.Alpha, size: size}, shape, nil
-	case *Sigmoid:
-		return &cMap{kind: mapSigmoid, size: size}, shape, nil
-	case *Tanh:
-		return &cMap{kind: mapTanh, size: size}, shape, nil
-	case *Softmax:
-		return &cMap{kind: mapSoftmax, size: size}, shape, nil
-	case *Flatten:
-		return nil, []int{size}, nil
-	case *Dropout:
-		// Serving is inference: dropout is the identity, exactly like the
-		// layer's own non-training Forward.
-		return nil, shape, nil
-	default:
-		return nil, nil, fmt.Errorf("nn: cannot compile layer %s", l.Name())
+	return n
+}
+
+// The lower methods below implement Layer.lower, one per layer kind.
+
+func (l *Dense) lower(shape []int) (compiledLayer, []int, error) {
+	if numel(shape) != l.InSize {
+		return nil, nil, fmt.Errorf("nn: compile dense expects %d inputs, got %v", l.InSize, shape)
 	}
+	return &cDense{pd: tensor.PackDense(l.weights, l.bias)}, []int{l.OutSize}, nil
+}
+
+func (l *Conv2D) lower(shape []int) (compiledLayer, []int, error) {
+	if len(shape) != 3 || shape[0] != l.InC {
+		return nil, nil, fmt.Errorf("nn: compile conv2d expects (%d,H,W), got %v", l.InC, shape)
+	}
+	h, w := shape[1], shape[2]
+	outH := tensor.ConvOutputSize(h, l.KH, l.Stride, l.Pad)
+	outW := tensor.ConvOutputSize(w, l.KW, l.Stride, l.Pad)
+	if outH <= 0 || outW <= 0 {
+		return nil, nil, fmt.Errorf("nn: compile conv2d kernel too large for %v", shape)
+	}
+	geom := tensor.NewConvGeom(l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad, l.OutC)
+	return &cConv{
+		pc:   tensor.PrepackConv(l.weights, geom),
+		bias: append([]float64(nil), l.bias.Data()...),
+	}, []int{l.OutC, outH, outW}, nil
+}
+
+func (l *MaxPool2D) lower(shape []int) (compiledLayer, []int, error) {
+	if len(shape) != 3 {
+		return nil, nil, fmt.Errorf("nn: compile maxpool expects (C,H,W), got %v", shape)
+	}
+	c, h, w := shape[0], shape[1], shape[2]
+	oh, ow := h/l.Size, w/l.Size
+	if oh == 0 || ow == 0 {
+		return nil, nil, fmt.Errorf("nn: compile maxpool window %d too large for %v", l.Size, shape)
+	}
+	return &cPool{size: l.Size, c: c, h: h, w: w, oh: oh, ow: ow}, []int{c, oh, ow}, nil
+}
+
+func (l *ReLU) lower(shape []int) (compiledLayer, []int, error) {
+	return &cMap{kind: mapReLU, size: numel(shape)}, shape, nil
+}
+
+func (l *LeakyReLU) lower(shape []int) (compiledLayer, []int, error) {
+	return &cMap{kind: mapLeakyReLU, alpha: l.Alpha, size: numel(shape)}, shape, nil
+}
+
+func (l *Sigmoid) lower(shape []int) (compiledLayer, []int, error) {
+	return &cMap{kind: mapSigmoid, size: numel(shape)}, shape, nil
+}
+
+func (l *Tanh) lower(shape []int) (compiledLayer, []int, error) {
+	return &cMap{kind: mapTanh, size: numel(shape)}, shape, nil
+}
+
+func (l *Softmax) lower(shape []int) (compiledLayer, []int, error) {
+	return &cMap{kind: mapSoftmax, size: numel(shape)}, shape, nil
+}
+
+func (l *Flatten) lower(shape []int) (compiledLayer, []int, error) {
+	return nil, []int{numel(shape)}, nil
+}
+
+// lower folds Dropout away: serving is inference, where dropout is the
+// identity, exactly like the layer's own non-training Forward.
+func (l *Dropout) lower(shape []int) (compiledLayer, []int, error) {
+	return nil, shape, nil
 }
 
 // InShape returns the input shape the plan was compiled for.

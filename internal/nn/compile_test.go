@@ -204,8 +204,9 @@ func TestCompiledPlanInstancesIndependent(t *testing.T) {
 	bitsEqual(t, "inst2", got2, want2)
 }
 
-// TestCompileRejectsUnknownAndBadShapes covers the fallback contract:
-// unsupported layers and shape mismatches return errors, never panic.
+// TestCompileRejectsUnknownAndBadShapes covers Compile's error contract:
+// every layer kind compiles, so only shape errors remain, and they
+// return errors, never panic.
 func TestCompileRejectsUnknownAndBadShapes(t *testing.T) {
 	rng := stats.NewRNG(5)
 	if _, err := Compile(NewNetwork()); err == nil {

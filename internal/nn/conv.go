@@ -26,8 +26,7 @@ type Conv2D struct {
 	gradB       *tensor.Tensor
 
 	// kern is the implicit-GEMM execution state, built lazily on the
-	// first Forward (Replicate leaves it nil) and rebuilt when the input
-	// extent changes.
+	// first Forward and rebuilt when the input extent changes.
 	kern *tensor.ConvKernel
 
 	// lastIn is the input tensor passed to Forward; Backward re-gathers

@@ -48,6 +48,12 @@ type Layer interface {
 	ZeroGrads()
 	// Name identifies the layer kind for serialization and debugging.
 	Name() string
+	// lower compiles the layer for a serving plan at the given
+	// per-example input shape, returning the shared compile result (nil
+	// for an identity layer) and the output shape (compile.go). Being
+	// unexported, it seals the Layer set: only this package's kinds
+	// exist, and each one compiles.
+	lower(shape []int) (compiledLayer, []int, error)
 }
 
 // ParamCount reports the total number of scalar parameters in a layer.

@@ -93,33 +93,8 @@ func TestParallelTrainingDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplicaSharesParams checks the replica contract: parameters are the
-// same tensors, gradients are not.
-func TestReplicaSharesParams(t *testing.T) {
-	net := NewDNN(4, []int{8}, 2, stats.NewRNG(1))
-	rep, ok := net.Replica()
-	if !ok {
-		t.Fatal("DNN should be replicable")
-	}
-	np, rp := net.Params(), rep.Params()
-	if len(np) != len(rp) {
-		t.Fatalf("param count %d vs %d", len(np), len(rp))
-	}
-	for i := range np {
-		if np[i] != rp[i] {
-			t.Errorf("param %d not shared", i)
-		}
-	}
-	ng, rg := net.Grads(), rep.Grads()
-	for i := range ng {
-		if ng[i] == rg[i] {
-			t.Errorf("grad %d shared; must be private", i)
-		}
-	}
-}
-
-// TestDropoutTrainsBatched checks a network with a non-replicable layer
-// trains through the one batch-major path at any width.
+// TestDropoutTrainsBatched checks a network with a dropout layer trains
+// through the one batch-major path at any width.
 func TestDropoutTrainsBatched(t *testing.T) {
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
@@ -129,9 +104,6 @@ func TestDropoutTrainsBatched(t *testing.T) {
 		NewDropout(0.2, rng.Split()),
 		NewDense(8, 2, rng.Split()),
 	)
-	if _, ok := net.Replica(); ok {
-		t.Fatal("dropout network must not be replicable")
-	}
 	net.UseAdam(1e-3)
 	ins, targets := makeDataset(8, 2, 4)
 	if loss := net.TrainBatch(ins, targets); loss <= 0 {

@@ -144,7 +144,7 @@ func (b *batcher) loop() {
 // execute runs one coalesced batch on the engine current at dispatch
 // time. Requests whose context died in the queue, or whose input does
 // not match the engine's snapshot, fail individually; the survivors run
-// as one minibatch on the replica pool. A panic escaping the kernels is
+// through the engine's compiled plan. A panic escaping the kernels is
 // recovered here and surfaced as ErrInvariant on every member — one
 // poisoned batch must not take down the collector.
 //
@@ -183,7 +183,7 @@ func (b *batcher) execute(batch []*batchCall) {
 		}
 	}
 	// One flat allocation per batch holds every member's output; the
-	// replica closures write straight into the per-request slots. It is
+	// predictor writes straight into the per-request slots. It is
 	// the batch's only allocation: submitters keep their c.out slices,
 	// so the block cannot be reused.
 	ins, outs := b.ins[:0], b.outs[:0]

@@ -6,43 +6,33 @@ import (
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/core"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 )
 
-// engine is one immutable, servable model snapshot: a Test-mode runtime
-// holding the materialized network, a pool of lock-free predictor
-// replicas (shared weights, private activation caches — the PR-1
-// fan-out primitive), and the snapshot's version. Reloads never mutate
-// an engine; they build a new one and atomically swap the pointer, so
-// an in-flight batch keeps computing on the snapshot it started with.
+// engine is one immutable, servable model snapshot: the destination-
+// passing predictor over the snapshot's compiled plan, and the
+// snapshot's version. Reloads never mutate an engine; they build a new
+// one and atomically swap the pointer, so an in-flight batch keeps
+// computing on the snapshot it started with.
 type engine struct {
 	name    string
 	version int
 	spec    core.ModelSpec
-	rt      *core.Runtime
 	inSize  int
 	outSize int
 
-	// pool hands out destination-passing predictor replicas to batch
-	// shards. Capacity is the replica count; a shard blocks only if more
-	// shards than replicas are ever in flight, which predictBatchInto's
-	// chunking prevents.
-	pool     chan func(in, out []float64) []float64
-	replicas int
-
-	// packed records that the model's serving plan compiled at engine
-	// build time — weights BLIS-packed once, before the engine was
-	// published — so the first request after a hot reload pays no packing
-	// or compilation cost. False only for architectures the plan compiler
-	// does not support, which serve through network replicas instead.
-	packed bool
+	// predict runs one instance of the compiled plan. Building it
+	// compiles the plan — weights packed once, before the engine is
+	// published — so the first request after a hot reload pays no
+	// packing or compilation cost. Only the model's batcher goroutine
+	// calls it.
+	predict func(in, out []float64) []float64
 }
 
 // buildEngine constructs a servable engine from a model spec and a
 // SaveModel image. The runtime inside is deliberately detached from
 // process-wide telemetry (WithMetrics(nil)): serving engines come and
 // go with every reload and must not steal the host's db/model gauges.
-func buildEngine(name string, spec core.ModelSpec, data []byte, version, replicas int) (*engine, error) {
+func buildEngine(name string, spec core.ModelSpec, data []byte, version int) (*engine, error) {
 	inSize, outSize, err := core.SavedModelSizes(data)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
@@ -53,26 +43,14 @@ func buildEngine(name string, spec core.ModelSpec, data []byte, version, replica
 	if err := rt.ConfigCtx(context.Background(), spec); err != nil {
 		return nil, err
 	}
-	if replicas < 1 {
-		replicas = parallel.Workers()
+	predict, err := rt.PredictorInto(name)
+	if err != nil {
+		return nil, err
 	}
-	e := &engine{
-		name: name, version: version, spec: spec, rt: rt,
-		inSize: inSize, outSize: outSize,
-		pool: make(chan func(in, out []float64) []float64, replicas), replicas: replicas,
-	}
-	// Compile the serving plan before the engine is published: the swap
-	// installs an engine whose weights are already packed, so a hot
-	// reload never shows a first-request packing spike.
-	e.packed = rt.CompileModel(name) == nil
-	for i := 0; i < replicas; i++ {
-		fn, err := rt.PredictorInto(name)
-		if err != nil {
-			return nil, err
-		}
-		e.pool <- fn
-	}
-	return e, nil
+	return &engine{
+		name: name, version: version, spec: spec,
+		inSize: inSize, outSize: outSize, predict: predict,
+	}, nil
 }
 
 // checkInput validates one request vector against the snapshot's input
@@ -86,29 +64,14 @@ func (e *engine) checkInput(in []float64) error {
 	return nil
 }
 
-// predictBatchInto runs one coalesced minibatch through the replica
-// pool on the parallel engine: outs[i] must have length outSize and
-// receives the prediction for ins[i]. The batch is chunked across
-// replicas, each shard forwards its examples independently, and each
-// example runs the exact same per-example forward pass as an in-process
-// PredictCtx (same weights, same accumulation order), so batching is
-// bit-identical by construction regardless of batch composition or
-// worker count. Beyond the outs buffers the steady-state batch performs
-// no heap allocation — the replica closures write straight into their
-// request's slot.
+// predictBatchInto runs one coalesced minibatch through the compiled
+// plan: outs[i] must have length outSize and receives the prediction for
+// ins[i]. Each example runs the same plan as an in-process PredictCtx
+// (same weights, same accumulation order), so batching is bit-identical
+// by construction regardless of batch composition. Beyond the outs
+// buffers the steady-state batch performs no heap allocation.
 func (e *engine) predictBatchInto(ins, outs [][]float64) {
-	if len(ins) == 1 {
-		fn := <-e.pool
-		outs[0] = fn(ins[0], outs[0])
-		e.pool <- fn
-		return
+	for i, in := range ins {
+		outs[i] = e.predict(in, outs[i])
 	}
-	grain := (len(ins) + e.replicas - 1) / e.replicas
-	parallel.For(len(ins), grain, func(lo, hi int) {
-		fn := <-e.pool
-		defer func() { e.pool <- fn }()
-		for i := lo; i < hi; i++ {
-			outs[i] = fn(ins[i], outs[i])
-		}
-	})
 }

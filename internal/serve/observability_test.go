@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/autonomizer/autonomizer/internal/obs"
+	"github.com/autonomizer/autonomizer/internal/tensor"
 )
 
 // spanByName finds the newest ring record with the given name.
@@ -282,8 +283,8 @@ func TestStatusz(t *testing.T) {
 	if m.Name != "m" || m.Version != 1 || m.InSize != 2 || m.OutSize != 1 {
 		t.Errorf("model row %+v, want m v1 2->1", m)
 	}
-	if m.Plan == "" || m.Plan == "uncompiled" {
-		t.Errorf("model plan %q, want the compiled kernel name", m.Plan)
+	if m.Plan != tensor.KernelName() {
+		t.Errorf("model plan %q, want the compiled kernel name %q", m.Plan, tensor.KernelName())
 	}
 	if m.QueueCapacity != 32 || m.QueueDepth < 0 || m.ShedTotal != 0 {
 		t.Errorf("model queue state %+v, want capacity 32 and no shed", m)

@@ -2,8 +2,8 @@
 // trained Autonomizer model behind a socket. The Server exposes the
 // query-side primitives over HTTP/JSON (with a length-prefixed binary
 // fast path for Predict), coalescing concurrent single-example requests
-// into minibatch forward passes on the parallel engine through a
-// dynamic micro-batcher; the Client implements the same query surface
+// into batches that run the model's compiled plan through a dynamic
+// micro-batcher; the Client implements the same query surface
 // as the in-process Runtime (the root package's Querier interface), so
 // a host program switches between embedded and remote inference with
 // one constructor change.

@@ -30,9 +30,6 @@ type Config struct {
 	// QueueDepth bounds each model's request queue; a full queue sheds
 	// load with ErrOverloaded/429 (default 256).
 	QueueDepth int
-	// Replicas sets each model's predictor-replica pool size — the
-	// intra-batch parallelism (default: the parallel engine's width).
-	Replicas int
 	// Source, when set, serves empty-body POST /models/{name}/reload by
 	// pulling the fresh snapshot from here (e.g. a FileSource).
 	Source Source
@@ -163,7 +160,7 @@ func (s *Server) Install(name string, spec core.ModelSpec, data []byte) (int, er
 	if m, ok := s.models[name]; ok {
 		version = m.eng.Load().version + 1
 	}
-	eng, err := buildEngine(name, spec, data, version, s.cfg.Replicas)
+	eng, err := buildEngine(name, spec, data, version)
 	if err != nil {
 		return 0, err
 	}
@@ -181,7 +178,7 @@ func (s *Server) Install(name string, spec core.ModelSpec, data []byte) (int, er
 	m.lastReload.Store(time.Now().UnixNano())
 	s.met.modelVersion(name, version)
 	s.log.Info("model installed", "model", name, "version", version,
-		"in", eng.inSize, "out", eng.outSize, "replicas", eng.replicas)
+		"in", eng.inSize, "out", eng.outSize)
 	return version, nil
 }
 

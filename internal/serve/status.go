@@ -24,14 +24,11 @@ import (
 type ModelStatus struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
-	// Plan is the engine's compile state: the active kernel name
-	// ("avx2", "generic", ...) when the serving plan compiled at install
-	// time, or "uncompiled" for architectures served through network
-	// replicas instead.
-	Plan     string `json:"plan"`
-	InSize   int    `json:"in_size"`
-	OutSize  int    `json:"out_size"`
-	Replicas int    `json:"replicas"`
+	// Plan is the kernel the engine's compiled plan runs on ("avx2",
+	// "generic", ...); every engine compiles its plan at install time.
+	Plan    string `json:"plan"`
+	InSize  int    `json:"in_size"`
+	OutSize int    `json:"out_size"`
 
 	QueueDepth    int    `json:"queue_depth"`
 	QueueCapacity int    `json:"queue_capacity"`
@@ -83,17 +80,12 @@ func (s *Server) Status() Statusz {
 			continue
 		}
 		eng := m.eng.Load()
-		plan := "uncompiled"
-		if eng.packed {
-			plan = tensor.KernelName()
-		}
 		row := ModelStatus{
 			Name:               m.name,
 			Version:            eng.version,
-			Plan:               plan,
+			Plan:               tensor.KernelName(),
 			InSize:             eng.inSize,
 			OutSize:            eng.outSize,
-			Replicas:           eng.replicas,
 			QueueDepth:         m.b.depth(),
 			QueueCapacity:      cap(m.b.queue),
 			ShedTotal:          m.b.shed.Load(),
